@@ -14,14 +14,11 @@ use crate::ir::{GemmShape, OpId};
 use crate::layer::{Layer, Norm};
 use crate::phase::Phase;
 use crate::topology::NetworkSpec;
-use lergan_tensor::dconv::{
-    dconv_input_grad_scatter, expand_dilated_kernel_into, im2col_dconv_batch_into,
-    im2col_dconv_into,
-};
-use lergan_tensor::im2col::{im2col_batch_into, im2col_into};
+use lergan_tensor::dconv::{dconv_input_grad_scatter, expand_dilated_kernel_into, im2col_dconv_into};
+use lergan_tensor::im2col::im2col_into;
 use lergan_tensor::kernel::{gemm_buf, gemm_nt_buf, mmv_buf};
 use lergan_tensor::parallel;
-use lergan_tensor::workspace::with_thread_workspace;
+use lergan_tensor::zero_free::PhaseConv;
 use lergan_tensor::{Conv2d, DconvGeometry, SconvGeometry, TconvGeometry, Tensor, Workspace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -116,6 +113,23 @@ pub trait TrainableLayer {
         Err(TrainError::Unsupported {
             layer: "TrainableLayer",
         })
+    }
+
+    /// [`backward_batch`](TrainableLayer::backward_batch) restricted to
+    /// `needs`: the parameter gradients are accumulated only when
+    /// `needs.param_grads`, and `Ok(None)` stands in for `∇input` when
+    /// `needs.input_grad` is false. Whatever is produced is bit-identical
+    /// to the full pass. The default ignores `needs` and runs the full
+    /// pass, which is always a valid answer.
+    fn backward_batch_needs(
+        &mut self,
+        grad_out: &Tensor,
+        batch: usize,
+        ws: &mut Workspace,
+        needs: BackwardNeeds,
+    ) -> Result<Option<Tensor>, TrainError> {
+        let _ = needs;
+        self.backward_batch(grad_out, batch, ws).map(Some)
     }
 
     /// Snapshots the accumulated parameter gradients ("grad", or
@@ -471,38 +485,6 @@ fn batched_shape(batch: usize, per_sample: &[usize]) -> ([usize; 4], usize) {
     (s, per_sample.len() + 1)
 }
 
-/// Relays the fused batched GEMM output `[OC, batch·O·O]` (per-sample
-/// column blocks) into activation layout `[batch, OC, O·O]` — pure
-/// `O·O`-contiguous row copies, sharded by sample, so the relayout can
-/// never change a value.
-fn relayout_channel_major(flat: &[f32], out: &mut [f32], batch: usize, oc: usize, oo: usize) {
-    let bo = batch * oo;
-    debug_assert_eq!(flat.len(), oc * bo);
-    debug_assert_eq!(out.len(), oc * bo);
-    let outp = SlicePtr::new(out);
-    parallel::for_each_range(batch, 1, |range| {
-        for b in range {
-            // SAFETY: sample-disjoint planes of the output.
-            let dst = unsafe { outp.slice(b * oc * oo, oc * oo) };
-            for c in 0..oc {
-                dst[c * oo..(c + 1) * oo]
-                    .copy_from_slice(&flat[c * bo + b * oo..c * bo + (b + 1) * oo]);
-            }
-        }
-    });
-}
-
-/// Copies sample `b`'s `[red, O·O]` column block out of the batched im2col
-/// matrix `[red, batch·O·O]` into a contiguous buffer — bit-for-bit the
-/// matrix the single-sample forward caches, so the weight-gradient GEMM
-/// over it is *exactly* the single-sample call.
-fn sample_cols_into(bcols: &[f32], b: usize, red: usize, oo: usize, dst: &mut [f32]) {
-    let bo = bcols.len() / red;
-    for r in 0..red {
-        dst[r * oo..(r + 1) * oo].copy_from_slice(&bcols[r * bo + b * oo..r * bo + b * oo + oo]);
-    }
-}
-
 fn he_init(rng: &mut StdRng, shape: &[usize], fan_in: usize) -> Tensor {
     let scale = (2.0 / fan_in as f32).sqrt();
     Tensor::from_fn(shape, |_| (rng.gen::<f32>() * 2.0 - 1.0) * scale)
@@ -516,6 +498,143 @@ fn cache_buf<'a>(slot: &'a mut Option<Tensor>, shape: &[usize]) -> &'a mut Tenso
         *slot = Some(Tensor::zeros(shape));
     }
     slot.as_mut().expect("slot populated above")
+}
+
+/// Which results a batched backward pass must produce. The training step
+/// states it per pass ([`Gan::train_step_batched`] never reads the
+/// discriminator's input gradient in its D phase, nor the discriminator's
+/// weight gradients in its G phase), so gradients nobody reads are never
+/// computed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BackwardNeeds {
+    /// Return `∇input`.
+    pub input_grad: bool,
+    /// Accumulate parameter gradients.
+    pub param_grads: bool,
+}
+
+impl BackwardNeeds {
+    /// Everything: what [`TrainableLayer::backward_batch`] produces.
+    pub const ALL: Self = BackwardNeeds {
+        input_grad: true,
+        param_grads: true,
+    };
+}
+
+/// The batched path shared by the conv-like layers: the zero-free
+/// lowering ([`PhaseConv`]) of the layer's forward and of its input
+/// gradient, plus the forward's gathered columns, which the weight
+/// gradient reuses. No batched conv direction materialises a
+/// zero-inserted plane or kernel.
+#[derive(Debug)]
+struct Lowered {
+    fwd: PhaseConv,
+    bwd: PhaseConv,
+    /// Gathered columns of the last batched forward.
+    cols: Vec<f32>,
+    /// Batch size of the last batched forward; 0 when there is none.
+    batch: usize,
+}
+
+impl Lowered {
+    fn new(fwd: PhaseConv, bwd: PhaseConv) -> Self {
+        Lowered {
+            fwd,
+            bwd,
+            cols: Vec::new(),
+            batch: 0,
+        }
+    }
+
+    /// Forward over a `[batch, C, H, W]` input the caller has validated.
+    fn forward(&mut self, input: &Tensor, batch: usize, weights: &Tensor, ws: &mut Workspace) -> Tensor {
+        let (oh, ow) = self.fwd.output_extent();
+        let maps = self.fwd.maps();
+        let len = self.fwd.cols_len(batch);
+        if self.cols.len() != len {
+            self.cols = vec![0.0; len];
+        }
+        self.batch = batch;
+        let mut out = ws.take(batch * maps * oh * ow);
+        self.fwd
+            .forward(input.data(), batch, weights.data(), &mut self.cols, &mut out, ws);
+        Tensor::from_vec(&[batch, maps, oh, ow], out)
+    }
+
+    /// Backward restricted to `needs`.
+    #[allow(clippy::too_many_arguments)]
+    fn backward(
+        &self,
+        layer: &'static str,
+        grad_out: &Tensor,
+        batch: usize,
+        weights: &Tensor,
+        grad: &mut Tensor,
+        needs: BackwardNeeds,
+        ws: &mut Workspace,
+    ) -> Result<Option<Tensor>, TrainError> {
+        self.check(layer, grad_out, batch)?;
+        if needs.param_grads {
+            self.weight_grad(grad_out, batch, grad, ws);
+        }
+        Ok(needs
+            .input_grad
+            .then(|| self.input_grad(grad_out, batch, weights, ws)))
+    }
+
+    /// The full backward: both gradients.
+    fn backward_all(
+        &self,
+        layer: &'static str,
+        grad_out: &Tensor,
+        batch: usize,
+        weights: &Tensor,
+        grad: &mut Tensor,
+        ws: &mut Workspace,
+    ) -> Result<Tensor, TrainError> {
+        self.check(layer, grad_out, batch)?;
+        self.weight_grad(grad_out, batch, grad, ws);
+        Ok(self.input_grad(grad_out, batch, weights, ws))
+    }
+
+    /// `∇W`: per-sample partials folded by the fixed tree, added to `grad`.
+    fn weight_grad(&self, grad_out: &Tensor, batch: usize, grad: &mut Tensor, ws: &mut Workspace) {
+        let wlen = self.fwd.weight_len();
+        let mut parts = ws.take(batch * wlen);
+        self.fwd
+            .weight_grad_partials(&self.cols, grad_out.data(), batch, &mut parts);
+        tree_reduce_in_place(&mut parts, batch, wlen);
+        grad.axpy_slice_in_place(1.0, &parts[..wlen]);
+        ws.give(parts);
+    }
+
+    fn check(&self, layer: &'static str, grad_out: &Tensor, batch: usize) -> Result<(), TrainError> {
+        if self.batch == 0 || self.batch != batch {
+            return Err(TrainError::BackwardBeforeForward { layer });
+        }
+        let (oh, ow) = self.fwd.output_extent();
+        let maps = self.fwd.maps();
+        if grad_out.len() != batch * maps * oh * ow {
+            return Err(TrainError::ShapeMismatch {
+                layer,
+                expected: vec![batch, maps * oh * ow],
+                actual: grad_out.shape().to_vec(),
+            });
+        }
+        Ok(())
+    }
+
+    /// `∇input` through the input-gradient plan.
+    fn input_grad(&self, grad_out: &Tensor, batch: usize, weights: &Tensor, ws: &mut Workspace) -> Tensor {
+        let (h, w) = self.fwd.input_extent();
+        let channels = self.fwd.channels();
+        let mut cols = ws.take(self.bwd.cols_len(batch));
+        let mut din = ws.take(batch * channels * h * w);
+        self.bwd
+            .forward(grad_out.data(), batch, weights.data(), &mut cols, &mut din, ws);
+        ws.give(cols);
+        Tensor::from_vec(&[batch, channels, h, w], din)
+    }
 }
 
 /// The update rule applied to accumulated gradients.
@@ -677,6 +796,70 @@ impl DenseLayer {
     pub fn out_units(&self) -> usize {
         self.weights.shape()[0]
     }
+
+    /// The batched backward needs a batched forward of the same batch and
+    /// a `[batch, out]` gradient.
+    fn check_grad_b(&self, grad_out: &Tensor, batch: usize) -> Result<(), TrainError> {
+        let input = self
+            .cached_input_b
+            .as_ref()
+            .ok_or(TrainError::BackwardBeforeForward {
+                layer: "DenseLayer",
+            })?;
+        if input.shape()[0] != batch {
+            return Err(TrainError::BackwardBeforeForward {
+                layer: "DenseLayer",
+            });
+        }
+        let o = self.weights.shape()[0];
+        if grad_out.len() != batch * o {
+            return Err(TrainError::ShapeMismatch {
+                layer: "DenseLayer",
+                expected: vec![batch, o],
+                actual: grad_out.shape().to_vec(),
+            });
+        }
+        Ok(())
+    }
+
+    /// ∇W: exact per-sample outer products, folded by the fixed tree.
+    fn weight_grad_b(&mut self, grad_out: &Tensor, batch: usize, ws: &mut Workspace) {
+        let input = self.cached_input_b.as_ref().expect("checked by check_grad_b");
+        let (o, i) = (self.weights.shape()[0], self.weights.shape()[1]);
+        let wlen = o * i;
+        let mut parts = ws.take(batch * wlen);
+        {
+            let pp = SlicePtr::new(&mut parts);
+            let gd = grad_out.data();
+            let xd = input.data();
+            parallel::for_each_range(batch, 1, |range| {
+                for b in range {
+                    // SAFETY: sample-disjoint windows of `parts`.
+                    let part = unsafe { pp.slice(b * wlen, wlen) };
+                    let g = &gd[b * o..(b + 1) * o];
+                    let x = &xd[b * i..(b + 1) * i];
+                    for (oi, &gv) in g.iter().enumerate() {
+                        for (slot, &xv) in part[oi * i..(oi + 1) * i].iter_mut().zip(x) {
+                            *slot = gv * xv;
+                        }
+                    }
+                }
+            });
+        }
+        tree_reduce_in_place(&mut parts, batch, wlen);
+        self.grad.axpy_slice_in_place(1.0, &parts[..wlen]);
+        ws.give(parts);
+    }
+
+    /// ∇input: one packed GEMM, k (= output unit) ascending from 0.0 — the
+    /// single-sample accumulation chain.
+    fn input_grad_b(&self, grad_out: &Tensor, batch: usize, ws: &mut Workspace) -> Tensor {
+        let (o, i) = (self.weights.shape()[0], self.weights.shape()[1]);
+        let mut din = ws.take(batch * i);
+        gemm_buf(batch, o, i, grad_out.data(), self.weights.data(), &mut din);
+        let (shape, rank) = batched_shape(batch, &self.cached_shape_b);
+        Tensor::from_vec(&shape[..rank], din)
+    }
 }
 
 impl TrainableLayer for DenseLayer {
@@ -783,55 +966,25 @@ impl TrainableLayer for DenseLayer {
         batch: usize,
         ws: &mut Workspace,
     ) -> Result<Tensor, TrainError> {
-        let input = self
-            .cached_input_b
-            .as_ref()
-            .ok_or(TrainError::BackwardBeforeForward {
-                layer: "DenseLayer",
-            })?;
-        let (o, i) = (self.weights.shape()[0], self.weights.shape()[1]);
-        if input.shape()[0] != batch {
-            return Err(TrainError::BackwardBeforeForward {
-                layer: "DenseLayer",
-            });
+        self.check_grad_b(grad_out, batch)?;
+        self.weight_grad_b(grad_out, batch, ws);
+        Ok(self.input_grad_b(grad_out, batch, ws))
+    }
+
+    fn backward_batch_needs(
+        &mut self,
+        grad_out: &Tensor,
+        batch: usize,
+        ws: &mut Workspace,
+        needs: BackwardNeeds,
+    ) -> Result<Option<Tensor>, TrainError> {
+        self.check_grad_b(grad_out, batch)?;
+        if needs.param_grads {
+            self.weight_grad_b(grad_out, batch, ws);
         }
-        if grad_out.len() != batch * o {
-            return Err(TrainError::ShapeMismatch {
-                layer: "DenseLayer",
-                expected: vec![batch, o],
-                actual: grad_out.shape().to_vec(),
-            });
-        }
-        // ∇W: exact per-sample outer products, folded by the fixed tree.
-        let wlen = o * i;
-        let mut parts = ws.take(batch * wlen);
-        {
-            let pp = SlicePtr::new(&mut parts);
-            let gd = grad_out.data();
-            let xd = input.data();
-            parallel::for_each_range(batch, 1, |range| {
-                for b in range {
-                    // SAFETY: sample-disjoint windows of `parts`.
-                    let part = unsafe { pp.slice(b * wlen, wlen) };
-                    let g = &gd[b * o..(b + 1) * o];
-                    let x = &xd[b * i..(b + 1) * i];
-                    for (oi, &gv) in g.iter().enumerate() {
-                        for (slot, &xv) in part[oi * i..(oi + 1) * i].iter_mut().zip(x) {
-                            *slot = gv * xv;
-                        }
-                    }
-                }
-            });
-        }
-        tree_reduce_in_place(&mut parts, batch, wlen);
-        self.grad.axpy_slice_in_place(1.0, &parts[..wlen]);
-        ws.give(parts);
-        // ∇input: one packed GEMM, k (= output unit) ascending from 0.0 —
-        // the single-sample accumulation chain.
-        let mut din = ws.take(batch * i);
-        gemm_buf(batch, o, i, grad_out.data(), self.weights.data(), &mut din);
-        let (shape, rank) = batched_shape(batch, &self.cached_shape_b);
-        Ok(Tensor::from_vec(&shape[..rank], din))
+        Ok(needs
+            .input_grad
+            .then(|| self.input_grad_b(grad_out, batch, ws)))
     }
 
     fn capture_grads(&self) -> LayerState {
@@ -854,12 +1007,9 @@ pub struct ConvTrainLayer {
     /// the backward weight-gradient GEMM.
     cached_cols: Option<Tensor>,
     cached_extent: usize,
-    /// Batched im2col matrix `[IC·K·K, batch·O·O]` (per-sample *column*
-    /// blocks — the n-multiplied GEMM operand) from the last batched
-    /// forward.
-    cached_bcols: Option<Tensor>,
-    /// Batch size of the last batched forward.
-    cached_batch: usize,
+    /// The batched path, built on the first batched forward (the input
+    /// extent fixes the plans) and rebuilt only if the extent changes.
+    lowered: Option<Lowered>,
     opt: OptState,
 }
 
@@ -882,8 +1032,7 @@ impl ConvTrainLayer {
             grad: Tensor::zeros(&shape),
             cached_cols: None,
             cached_extent: 0,
-            cached_bcols: None,
-            cached_batch: 0,
+            lowered: None,
             opt: OptState::default(),
         })
     }
@@ -972,8 +1121,7 @@ impl TrainableLayer for ConvTrainLayer {
         self.grad.fill(0.0);
         self.cached_cols = None;
         self.cached_extent = 0;
-        self.cached_bcols = None;
-        self.cached_batch = 0;
+        self.lowered = None;
         Ok(())
     }
 
@@ -997,11 +1145,7 @@ impl TrainableLayer for ConvTrainLayer {
             return Err(TrainError::EmptyBatch);
         }
         expect_rank("ConvTrainLayer", 4, input.shape())?;
-        let (oc, ic, k) = (
-            self.weights.shape()[0],
-            self.weights.shape()[1],
-            self.weights.shape()[2],
-        );
+        let (oc, ic) = (self.weights.shape()[0], self.weights.shape()[1]);
         if input.shape()[0] != batch
             || input.shape()[1] != ic
             || input.shape()[2] != input.shape()[3]
@@ -1013,27 +1157,19 @@ impl TrainableLayer for ConvTrainLayer {
             });
         }
         let extent = input.shape()[2];
-        self.cached_extent = extent;
-        self.cached_batch = batch;
-        let geom = self.op.geometry(extent);
-        let (red, oo) = (ic * k * k, geom.output * geom.output);
-        let bo = batch * oo;
-        let bcols = cache_buf(&mut self.cached_bcols, &[red, bo]);
-        im2col_batch_into(input.data(), batch, ic, &geom, bcols.data_mut());
-        // One GEMM with n = batch·O·O: each output element's reduction
-        // chain matches the single-sample path term for term (ascending
-        // im2col rows), so each sample's result is bit-identical — and the
-        // widened n keeps the kernel's SIMD lanes (which run across output
-        // columns) saturated even for small `OC`.
-        let mut flat = ws.take(oc * bo);
-        gemm_buf(oc, red, bo, self.weights.data(), bcols.data(), &mut flat);
-        let mut out = ws.take(batch * oc * oo);
-        relayout_channel_major(&flat, &mut out, batch, oc, oo);
-        ws.give(flat);
-        Ok(Tensor::from_vec(
-            &[batch, oc, geom.output, geom.output],
-            out,
-        ))
+        if self
+            .lowered
+            .as_ref()
+            .is_none_or(|l| l.fwd.input_extent() != (extent, extent))
+        {
+            let geom = self.op.geometry(extent);
+            self.lowered = Some(Lowered::new(
+                PhaseConv::sconv(ic, oc, &geom),
+                PhaseConv::sconv_input_grad(ic, oc, &geom),
+            ));
+        }
+        let lowered = self.lowered.as_mut().expect("built above");
+        Ok(lowered.forward(input, batch, &self.weights, ws))
     }
 
     fn backward_batch(
@@ -1042,86 +1178,37 @@ impl TrainableLayer for ConvTrainLayer {
         batch: usize,
         ws: &mut Workspace,
     ) -> Result<Tensor, TrainError> {
-        let bcols = self
-            .cached_bcols
+        let lowered = self
+            .lowered
             .as_ref()
             .ok_or(TrainError::BackwardBeforeForward {
                 layer: "ConvTrainLayer",
             })?;
-        if self.cached_batch != batch {
-            return Err(TrainError::BackwardBeforeForward {
+        lowered.backward_all("ConvTrainLayer", grad_out, batch, &self.weights, &mut self.grad, ws)
+    }
+
+    fn backward_batch_needs(
+        &mut self,
+        grad_out: &Tensor,
+        batch: usize,
+        ws: &mut Workspace,
+        needs: BackwardNeeds,
+    ) -> Result<Option<Tensor>, TrainError> {
+        let lowered = self
+            .lowered
+            .as_ref()
+            .ok_or(TrainError::BackwardBeforeForward {
                 layer: "ConvTrainLayer",
-            });
-        }
-        let (oc, ic) = (self.weights.shape()[0], self.weights.shape()[1]);
-        let red = bcols.shape()[0];
-        let oo = bcols.shape()[1] / batch;
-        if grad_out.len() != batch * oc * oo {
-            return Err(TrainError::ShapeMismatch {
-                layer: "ConvTrainLayer",
-                expected: vec![batch, oc * oo],
-                actual: grad_out.shape().to_vec(),
-            });
-        }
-        // ∇W: per-sample GEMM partials (each the exact single-sample
-        // chain, over the sample's column block copied contiguous), folded
-        // by the fixed tree.
-        let wlen = oc * red;
-        let mut parts = ws.take(batch * wlen);
-        {
-            let pp = SlicePtr::new(&mut parts);
-            let gd = grad_out.data();
-            let ct = bcols.data();
-            parallel::for_each_range(batch, 1, |range| {
-                for b in range {
-                    // SAFETY: sample-disjoint windows of `parts`.
-                    let part = unsafe { pp.slice(b * wlen, wlen) };
-                    with_thread_workspace(|tws| {
-                        let mut cb = tws.take(red * oo);
-                        sample_cols_into(ct, b, red, oo, &mut cb);
-                        gemm_nt_buf(
-                            oc,
-                            oo,
-                            red,
-                            &gd[b * oc * oo..(b + 1) * oc * oo],
-                            &cb,
-                            part,
-                        );
-                        tws.give(cb);
-                    });
-                }
-            });
-        }
-        tree_reduce_in_place(&mut parts, batch, wlen);
-        self.grad.axpy_slice_in_place(1.0, &parts[..wlen]);
-        ws.give(parts);
-        // ∇input: the single-sample scatter per sample, each worker drawing
-        // scratch from its own persistent thread workspace.
-        let extent = self.cached_extent;
-        let slen = ic * extent * extent;
-        let mut din = ws.take(batch * slen);
-        {
-            let dp = SlicePtr::new(&mut din);
-            let gd = grad_out.data();
-            let op = &self.op;
-            let weights = &self.weights;
-            parallel::for_each_range(batch, 1, |range| {
-                for b in range {
-                    // SAFETY: sample-disjoint planes of `din`.
-                    let d = unsafe { dp.slice(b * slen, slen) };
-                    with_thread_workspace(|tws| {
-                        op.input_grad_buf_vec(
-                            &gd[b * oc * oo..(b + 1) * oc * oo],
-                            weights,
-                            extent,
-                            tws,
-                            d,
-                        );
-                    });
-                }
-            });
-        }
-        Ok(Tensor::from_vec(&[batch, ic, extent, extent], din))
+            })?;
+        lowered.backward(
+            "ConvTrainLayer",
+            grad_out,
+            batch,
+            &self.weights,
+            &mut self.grad,
+            needs,
+            ws,
+        )
     }
 
     fn capture_grads(&self) -> LayerState {
@@ -1143,11 +1230,8 @@ pub struct TconvTrainLayer {
     cached_cols: Option<Tensor>,
     /// Extent of the zero-inserted plane from the last forward.
     cached_extent: usize,
-    /// Batched im2col matrix `[IC·K·K, batch·O·O]` (per-sample column
-    /// blocks) of the zero-inserted inputs from the last batched forward.
-    cached_bcols: Option<Tensor>,
-    /// Batch size of the last batched forward.
-    cached_batch: usize,
+    /// The batched path: zero-free, one GEMM per phase class.
+    lowered: Lowered,
     opt: OptState,
 }
 
@@ -1169,8 +1253,10 @@ impl TconvTrainLayer {
             grad: Tensor::zeros(&shape),
             cached_cols: None,
             cached_extent: 0,
-            cached_bcols: None,
-            cached_batch: 0,
+            lowered: Lowered::new(
+                PhaseConv::tconv(in_channels, out_channels, &geometry),
+                PhaseConv::tconv_input_grad(in_channels, out_channels, &geometry),
+            ),
             opt: OptState::default(),
         }
     }
@@ -1269,8 +1355,7 @@ impl TrainableLayer for TconvTrainLayer {
         self.grad.fill(0.0);
         self.cached_cols = None;
         self.cached_extent = 0;
-        self.cached_bcols = None;
-        self.cached_batch = 0;
+        self.lowered.batch = 0;
         Ok(())
     }
 
@@ -1296,7 +1381,7 @@ impl TrainableLayer for TconvTrainLayer {
         }
         expect_rank("TconvTrainLayer", 4, input.shape())?;
         let g = self.geometry;
-        let (oc, ic) = (self.weights.shape()[0], self.weights.shape()[1]);
+        let ic = self.weights.shape()[1];
         if input.shape() != [batch, ic, g.input, g.input] {
             return Err(TrainError::ShapeMismatch {
                 layer: "TconvTrainLayer",
@@ -1304,52 +1389,7 @@ impl TrainableLayer for TconvTrainLayer {
                 actual: input.shape().to_vec(),
             });
         }
-        let e = g.expanded();
-        let (p, s) = (g.insertion_pad, g.converse_stride);
-        let geom = SconvGeometry::new(e, g.kernel, 1, 0).expect("validated geometry");
-        let (red, oo) = (ic * g.kernel * g.kernel, geom.output * geom.output);
-        let slen = ic * g.input * g.input;
-        self.cached_extent = e;
-        self.cached_batch = batch;
-        let bo = batch * oo;
-        let elen = ic * e * e;
-        // Zero-inserted planes for the whole batch (pooled scratch),
-        // scattered sample-parallel, then one row-sharded batched im2col.
-        let mut exp_all = ws.take_zeroed(batch * elen);
-        {
-            let ep = SlicePtr::new(&mut exp_all);
-            let idata = input.data();
-            parallel::for_each_range(batch, 1, |range| {
-                for b in range {
-                    // SAFETY: sample-disjoint expanded planes.
-                    let exp = unsafe { ep.slice(b * elen, elen) };
-                    let sample = &idata[b * slen..(b + 1) * slen];
-                    for ci in 0..ic {
-                        for y in 0..g.input {
-                            let src = &sample[ci * g.input * g.input + y * g.input..][..g.input];
-                            let dst = &mut exp[ci * e * e + (p + y * s) * e + p..];
-                            for (x, &v) in src.iter().enumerate() {
-                                dst[x * s] = v;
-                            }
-                        }
-                    }
-                }
-            });
-        }
-        let bcols = cache_buf(&mut self.cached_bcols, &[red, bo]);
-        im2col_batch_into(&exp_all, batch, ic, &geom, bcols.data_mut());
-        ws.give(exp_all);
-        // One GEMM with n = batch·O·O — per-sample reduction chains are
-        // the single-sample ones term for term (see `ConvTrainLayer`).
-        let mut flat = ws.take(oc * bo);
-        gemm_buf(oc, red, bo, self.weights.data(), bcols.data(), &mut flat);
-        let mut out = ws.take(batch * oc * oo);
-        relayout_channel_major(&flat, &mut out, batch, oc, oo);
-        ws.give(flat);
-        Ok(Tensor::from_vec(
-            &[batch, oc, geom.output, geom.output],
-            out,
-        ))
+        Ok(self.lowered.forward(input, batch, &self.weights, ws))
     }
 
     fn backward_batch(
@@ -1358,99 +1398,26 @@ impl TrainableLayer for TconvTrainLayer {
         batch: usize,
         ws: &mut Workspace,
     ) -> Result<Tensor, TrainError> {
-        let bcols = self
-            .cached_bcols
-            .as_ref()
-            .ok_or(TrainError::BackwardBeforeForward {
-                layer: "TconvTrainLayer",
-            })?;
-        if self.cached_batch != batch {
-            return Err(TrainError::BackwardBeforeForward {
-                layer: "TconvTrainLayer",
-            });
-        }
-        let (oc, ic) = (self.weights.shape()[0], self.weights.shape()[1]);
-        let red = bcols.shape()[0];
-        let oo = bcols.shape()[1] / batch;
-        if grad_out.len() != batch * oc * oo {
-            return Err(TrainError::ShapeMismatch {
-                layer: "TconvTrainLayer",
-                expected: vec![batch, oc * oo],
-                actual: grad_out.shape().to_vec(),
-            });
-        }
-        // ∇W: per-sample GEMM partials (each the exact single-sample call
-        // over the sample's column block copied contiguous), folded by the
-        // fixed tree.
-        let wlen = oc * red;
-        let mut parts = ws.take(batch * wlen);
-        {
-            let pp = SlicePtr::new(&mut parts);
-            let gd = grad_out.data();
-            let ct = bcols.data();
-            parallel::for_each_range(batch, 1, |range| {
-                for b in range {
-                    // SAFETY: sample-disjoint windows of `parts`.
-                    let part = unsafe { pp.slice(b * wlen, wlen) };
-                    with_thread_workspace(|tws| {
-                        let mut cb = tws.take(red * oo);
-                        sample_cols_into(ct, b, red, oo, &mut cb);
-                        gemm_nt_buf(
-                            oc,
-                            oo,
-                            red,
-                            &gd[b * oc * oo..(b + 1) * oc * oo],
-                            &cb,
-                            part,
-                        );
-                        tws.give(cb);
-                    });
-                }
-            });
-        }
-        tree_reduce_in_place(&mut parts, batch, wlen);
-        self.grad.axpy_slice_in_place(1.0, &parts[..wlen]);
-        ws.give(parts);
-        // ∇input: dense S-CONV back through the expansion per sample, then
-        // the stride gather — the exact single-sample chain.
-        let g = self.geometry;
-        let e = self.cached_extent;
-        let (p, s) = (g.insertion_pad, g.converse_stride);
-        let slen = ic * g.input * g.input;
-        let mut din = ws.take(batch * slen);
-        {
-            let dp = SlicePtr::new(&mut din);
-            let gd = grad_out.data();
-            let inner = &self.inner;
-            let weights = &self.weights;
-            parallel::for_each_range(batch, 1, |range| {
-                for b in range {
-                    // SAFETY: sample-disjoint planes of `din`.
-                    let d = unsafe { dp.slice(b * slen, slen) };
-                    with_thread_workspace(|tws| {
-                        let mut dex = tws.take(ic * e * e);
-                        inner.input_grad_buf_vec(
-                            &gd[b * oc * oo..(b + 1) * oc * oo],
-                            weights,
-                            e,
-                            tws,
-                            &mut dex,
-                        );
-                        for ci in 0..ic {
-                            for y in 0..g.input {
-                                let src = &dex[ci * e * e + (p + y * s) * e + p..];
-                                let dst = &mut d[ci * g.input * g.input + y * g.input..][..g.input];
-                                for (x, slot) in dst.iter_mut().enumerate() {
-                                    *slot = src[x * s];
-                                }
-                            }
-                        }
-                        tws.give(dex);
-                    });
-                }
-            });
-        }
-        Ok(Tensor::from_vec(&[batch, ic, g.input, g.input], din))
+        self.lowered
+            .backward_all("TconvTrainLayer", grad_out, batch, &self.weights, &mut self.grad, ws)
+    }
+
+    fn backward_batch_needs(
+        &mut self,
+        grad_out: &Tensor,
+        batch: usize,
+        ws: &mut Workspace,
+        needs: BackwardNeeds,
+    ) -> Result<Option<Tensor>, TrainError> {
+        self.lowered.backward(
+            "TconvTrainLayer",
+            grad_out,
+            batch,
+            &self.weights,
+            &mut self.grad,
+            needs,
+            ws,
+        )
     }
 
     fn capture_grads(&self) -> LayerState {
@@ -1462,28 +1429,29 @@ impl TrainableLayer for TconvTrainLayer {
 
 /// Dilated / asymmetric convolution trainable layer (D-CONV).
 ///
-/// Runs the *zero-insertion* formulation — the effective-extent kernel is
-/// materialised with `D − 1` zeros between taps and driven through a dense
-/// im2col + GEMM — exactly the workload the analytics count as
-/// `macs_dense`, and the exact dual of [`TconvTrainLayer`]'s expanded
-/// input. The backward pass is zero-free: weight gradients gather only the
-/// true taps, and the input gradient scatters through them directly.
+/// The batched path is zero-free: the forward and the weight gradient
+/// gather only the `Kh·Kw` true taps, and the input gradient — T-CONV
+/// dataflow over the dilated kernel — runs one GEMM per phase class (see
+/// [`lergan_tensor::zero_free`]). The single-sample path keeps the
+/// *zero-insertion* formulation as its oracle: the effective-extent kernel
+/// is materialised with `D − 1` zeros between taps and driven through a
+/// dense im2col + GEMM — exactly the workload the analytics count as
+/// `macs_dense`, and the dual of [`TconvTrainLayer`]'s expanded input —
+/// with the true taps gathered out of the dense weight gradient and the
+/// input gradient scattered through them directly.
 #[derive(Debug)]
 pub struct DconvTrainLayer {
     geometry: DconvGeometry,
     weights: Tensor, // [oc, ic, Kh, Kw] — true taps only
     grad: Tensor,
-    /// Zero-inserted kernel `[OC, IC, Kh_eff, Kw_eff]`, rebuilt each
-    /// forward (the taps move as the weights update).
+    /// Zero-inserted kernel `[OC, IC, Kh_eff, Kw_eff]` of the single-sample
+    /// path, rebuilt each forward (the taps move as the weights update).
     expanded: Option<Tensor>,
     /// im2col matrix `[IC·Kh_eff·Kw_eff, Oh·Ow]` of the last forward
     /// input, reused by the backward weight-gradient GEMM.
     cached_cols: Option<Tensor>,
-    /// Batched im2col matrix `[IC·Kh_eff·Kw_eff, batch·Oh·Ow]` (per-sample
-    /// column blocks) from the last batched forward.
-    cached_bcols: Option<Tensor>,
-    /// Batch size of the last batched forward.
-    cached_batch: usize,
+    /// The batched path.
+    lowered: Lowered,
     opt: OptState,
 }
 
@@ -1503,8 +1471,10 @@ impl DconvTrainLayer {
             grad: Tensor::zeros(&shape),
             expanded: None,
             cached_cols: None,
-            cached_bcols: None,
-            cached_batch: 0,
+            lowered: Lowered::new(
+                PhaseConv::dconv(in_channels, out_channels, &geometry),
+                PhaseConv::dconv_input_grad(in_channels, out_channels, &geometry),
+            ),
             opt: OptState::default(),
         }
     }
@@ -1582,8 +1552,7 @@ impl TrainableLayer for DconvTrainLayer {
         self.grad.fill(0.0);
         self.expanded = None;
         self.cached_cols = None;
-        self.cached_bcols = None;
-        self.cached_batch = 0;
+        self.lowered.batch = 0;
         Ok(())
     }
 
@@ -1610,7 +1579,7 @@ impl TrainableLayer for DconvTrainLayer {
         }
         expect_rank("DconvTrainLayer", 4, input.shape())?;
         let g = self.geometry;
-        let (oc, ic) = (self.weights.shape()[0], self.weights.shape()[1]);
+        let ic = self.weights.shape()[1];
         if input.shape() != [batch, ic, g.rows.input, g.cols.input] {
             return Err(TrainError::ShapeMismatch {
                 layer: "DconvTrainLayer",
@@ -1618,24 +1587,7 @@ impl TrainableLayer for DconvTrainLayer {
                 actual: input.shape().to_vec(),
             });
         }
-        let (eh, ew) = (g.rows.effective_kernel(), g.cols.effective_kernel());
-        let (oh, ow) = (g.rows.output, g.cols.output);
-        let (red, oo) = (ic * eh * ew, oh * ow);
-        // The zero-inserted kernel is shared by every sample: expand once.
-        let expanded = cache_buf(&mut self.expanded, &[oc, ic, eh, ew]);
-        expand_dilated_kernel_into(&self.weights, &g, expanded.data_mut());
-        self.cached_batch = batch;
-        let bo = batch * oo;
-        let bcols = cache_buf(&mut self.cached_bcols, &[red, bo]);
-        im2col_dconv_batch_into(input.data(), batch, ic, &g, bcols.data_mut());
-        // One GEMM with n = batch·Oh·Ow — per-sample reduction chains are
-        // the single-sample ones term for term (see `ConvTrainLayer`).
-        let mut flat = ws.take(oc * bo);
-        gemm_buf(oc, red, bo, expanded.data(), bcols.data(), &mut flat);
-        let mut out = ws.take(batch * oc * oo);
-        relayout_channel_major(&flat, &mut out, batch, oc, oo);
-        ws.give(flat);
-        Ok(Tensor::from_vec(&[batch, oc, oh, ow], out))
+        Ok(self.lowered.forward(input, batch, &self.weights, ws))
     }
 
     fn backward_batch(
@@ -1644,97 +1596,26 @@ impl TrainableLayer for DconvTrainLayer {
         batch: usize,
         ws: &mut Workspace,
     ) -> Result<Tensor, TrainError> {
-        let bcols = self
-            .cached_bcols
-            .as_ref()
-            .ok_or(TrainError::BackwardBeforeForward {
-                layer: "DconvTrainLayer",
-            })?;
-        if self.cached_batch != batch {
-            return Err(TrainError::BackwardBeforeForward {
-                layer: "DconvTrainLayer",
-            });
-        }
-        let g = self.geometry;
-        let (oc, ic) = (self.weights.shape()[0], self.weights.shape()[1]);
-        let (kh, kw) = (g.rows.kernel, g.cols.kernel);
-        let (eh, ew) = (g.rows.effective_kernel(), g.cols.effective_kernel());
-        let (dil_h, dil_w) = (g.rows.dilation, g.cols.dilation);
-        let red = bcols.shape()[0];
-        let oo = bcols.shape()[1] / batch;
-        if grad_out.len() != batch * oc * oo {
-            return Err(TrainError::ShapeMismatch {
-                layer: "DconvTrainLayer",
-                expected: vec![batch, oc * oo],
-                actual: grad_out.shape().to_vec(),
-            });
-        }
-        // ∇W: per-sample partials over the *expanded* layout (each the
-        // exact single-sample call over the sample's column block copied
-        // contiguous), folded by the fixed tree, then a tap gather at the
-        // dilation multiples. The gather is elementwise selection, so
-        // gathering after the tree is exactly the tree over gathered
-        // per-sample gradients.
-        let wlen = oc * red;
-        let mut parts = ws.take(batch * wlen);
-        {
-            let pp = SlicePtr::new(&mut parts);
-            let gd = grad_out.data();
-            let ct = bcols.data();
-            parallel::for_each_range(batch, 1, |range| {
-                for b in range {
-                    // SAFETY: sample-disjoint windows of `parts`.
-                    let part = unsafe { pp.slice(b * wlen, wlen) };
-                    with_thread_workspace(|tws| {
-                        let mut cb = tws.take(red * oo);
-                        sample_cols_into(ct, b, red, oo, &mut cb);
-                        gemm_nt_buf(
-                            oc,
-                            oo,
-                            red,
-                            &gd[b * oc * oo..(b + 1) * oc * oo],
-                            &cb,
-                            part,
-                        );
-                        tws.give(cb);
-                    });
-                }
-            });
-        }
-        tree_reduce_in_place(&mut parts, batch, wlen);
-        let gd = self.grad.data_mut();
-        for p in 0..oc * ic {
-            let src = &parts[p * eh * ew..(p + 1) * eh * ew];
-            let dst = &mut gd[p * kh * kw..(p + 1) * kh * kw];
-            for jy in 0..kh {
-                for jx in 0..kw {
-                    dst[jy * kw + jx] += src[jy * dil_h * ew + jx * dil_w];
-                }
-            }
-        }
-        ws.give(parts);
-        // ∇input: the zero-free per-sample scatter through the true taps.
-        let (h, w) = (g.rows.input, g.cols.input);
-        let slen = ic * h * w;
-        let mut din = ws.take_zeroed(batch * slen);
-        {
-            let dp = SlicePtr::new(&mut din);
-            let gdata = grad_out.data();
-            let weights = &self.weights;
-            parallel::for_each_range(batch, 1, |range| {
-                for b in range {
-                    // SAFETY: sample-disjoint planes of `din`.
-                    let d = unsafe { dp.slice(b * slen, slen) };
-                    dconv_input_grad_scatter(
-                        &gdata[b * oc * oo..(b + 1) * oc * oo],
-                        weights,
-                        &g,
-                        d,
-                    );
-                }
-            });
-        }
-        Ok(Tensor::from_vec(&[batch, ic, h, w], din))
+        self.lowered
+            .backward_all("DconvTrainLayer", grad_out, batch, &self.weights, &mut self.grad, ws)
+    }
+
+    fn backward_batch_needs(
+        &mut self,
+        grad_out: &Tensor,
+        batch: usize,
+        ws: &mut Workspace,
+        needs: BackwardNeeds,
+    ) -> Result<Option<Tensor>, TrainError> {
+        self.lowered.backward(
+            "DconvTrainLayer",
+            grad_out,
+            batch,
+            &self.weights,
+            &mut self.grad,
+            needs,
+            ws,
+        )
     }
 
     fn capture_grads(&self) -> LayerState {
@@ -2808,33 +2689,71 @@ impl Sequential {
     /// Returns a [`TrainError`] when a layer rejects the gradient shape,
     /// was not batch-forwarded first, or has no batched implementation.
     pub fn backward_batch(&mut self, grad_out: &Tensor, batch: usize) -> Result<Tensor, TrainError> {
+        self.backward_batch_needs(grad_out, batch, BackwardNeeds::ALL)?
+            .ok_or(TrainError::Unsupported { layer: "Sequential" })
+    }
+
+    /// [`backward_batch`](Sequential::backward_batch) restricted to
+    /// `needs`: parameter gradients only when `needs.param_grads`, and the
+    /// stack's `∇input` (the first layer's, which no layer consumes) only
+    /// when `needs.input_grad` — `Ok(None)` otherwise. The gradients that
+    /// are produced are bit-identical to the full pass.
+    pub(crate) fn backward_batch_needs(
+        &mut self,
+        grad_out: &Tensor,
+        batch: usize,
+        needs: BackwardNeeds,
+    ) -> Result<Option<Tensor>, TrainError> {
         let Sequential { layers, skips, ws } = self;
-        let n = layers.len();
-        if n == 0 {
-            return Ok(grad_out.clone());
-        }
-        let mut g = layers[n - 1].backward_batch(grad_out, batch, ws)?;
-        for tap in skips.iter_mut().filter(|t| t.to == n - 1) {
-            let s = cache_buf(&mut tap.grad_stash_b, g.shape());
-            s.data_mut().copy_from_slice(g.data());
-        }
-        for li in (0..n - 1).rev() {
-            for tap in skips.iter_mut().filter(|t| t.from == li) {
-                let gs = tap
-                    .grad_stash_b
-                    .as_ref()
-                    .expect("skip target follows source");
-                g.axpy_in_place(1.0, gs);
+        // The gradient descending the stack; `None` until the top layer ran.
+        let mut g: Option<Tensor> = None;
+        for li in (0..layers.len()).rev() {
+            // The output of layer `li` also fed every skip tapped here:
+            // fold the branch gradients stashed at their targets back in.
+            if let Some(g) = g.as_mut() {
+                for tap in skips.iter_mut().filter(|t| t.from == li) {
+                    let gs = tap
+                        .grad_stash_b
+                        .as_ref()
+                        .expect("skip target follows source");
+                    g.axpy_in_place(1.0, gs);
+                }
             }
-            let h = layers[li].backward_batch(&g, batch, ws)?;
-            ws.give_tensor(g);
-            g = h;
-            for tap in skips.iter_mut().filter(|t| t.to == li) {
-                let s = cache_buf(&mut tap.grad_stash_b, g.shape());
-                s.data_mut().copy_from_slice(g.data());
+            // Every layer but the first hands its ∇input on down the stack.
+            let layer_needs = if li == 0 {
+                needs
+            } else {
+                BackwardNeeds {
+                    input_grad: true,
+                    ..needs
+                }
+            };
+            let h = layers[li].backward_batch_needs(g.as_ref().unwrap_or(grad_out), batch, ws, layer_needs)?;
+            if let Some(old) = g.take() {
+                ws.give_tensor(old);
+            }
+            match h {
+                Some(h) => {
+                    for tap in skips.iter_mut().filter(|t| t.to == li) {
+                        let s = cache_buf(&mut tap.grad_stash_b, h.shape());
+                        s.data_mut().copy_from_slice(h.data());
+                    }
+                    g = Some(h);
+                }
+                None if li == 0 => {}
+                None => return Err(TrainError::Unsupported { layer: "backward_batch_needs" }),
             }
         }
-        Ok(g)
+        match g {
+            Some(g) if !needs.input_grad => {
+                // The first layer ignored `needs` and returned its ∇input.
+                ws.give_tensor(g);
+                Ok(None)
+            }
+            Some(g) => Ok(Some(g)),
+            None if layers.is_empty() => Ok(needs.input_grad.then(|| grad_out.clone())),
+            None => Ok(None),
+        }
     }
 
     /// Snapshots every layer's accumulated gradients, in stack order — the
@@ -3440,9 +3359,15 @@ impl Gan {
         let logits = self.discriminator.forward_batch(reals, batch)?;
         let seeds = self.seed_grads_batch(&logits, 1.0, &mut d_loss);
         self.discriminator.recycle(logits);
-        let din = self.discriminator.backward_batch(&seeds, batch)?;
+        // The step reads D's weight gradients from its D phase, never its
+        // input gradient.
+        let params_only = BackwardNeeds {
+            input_grad: false,
+            param_grads: true,
+        };
+        self.discriminator
+            .backward_batch_needs(&seeds, batch, params_only)?;
         self.scratch.give_tensor(seeds);
-        self.discriminator.recycle(din);
         // Fake batch, target 0.
         let noise = sample_noise_batch_into(&mut self.rng, self.noise_dim, batch, &mut self.scratch);
         let fakes = self.generator.forward_batch(&noise, batch)?;
@@ -3451,9 +3376,9 @@ impl Gan {
         self.generator.recycle(fakes);
         let seeds = self.seed_grads_batch(&logits, 0.0, &mut d_loss);
         self.discriminator.recycle(logits);
-        let din = self.discriminator.backward_batch(&seeds, batch)?;
+        self.discriminator
+            .backward_batch_needs(&seeds, batch, params_only)?;
         self.scratch.give_tensor(seeds);
-        self.discriminator.recycle(din);
         self.step += 1;
         self.discriminator.apply_update(&self.rule, self.step);
         self.generator.zero_grads(); // G gradients from the D pass are discarded.
@@ -3467,13 +3392,25 @@ impl Gan {
         self.generator.recycle(fakes);
         let seeds = self.seed_grads_batch(&logits, 1.0, &mut g_loss);
         self.discriminator.recycle(logits);
-        let d_input_grad = self.discriminator.backward_batch(&seeds, batch)?;
+        // The G phase reads D's input gradient and G's weight gradients:
+        // D's weight gradients would be discarded and the noise gradient
+        // is never read, so neither is computed.
+        let through_d = BackwardNeeds {
+            input_grad: true,
+            param_grads: false,
+        };
+        let d_input_grad = self
+            .discriminator
+            .backward_batch_needs(&seeds, batch, through_d)?
+            .ok_or(TrainError::Unsupported {
+                layer: "backward_batch_needs",
+            })?;
         self.scratch.give_tensor(seeds);
-        let g_input_grad = self.generator.backward_batch(&d_input_grad, batch)?;
+        self.generator
+            .backward_batch_needs(&d_input_grad, batch, params_only)?;
         self.discriminator.recycle(d_input_grad);
-        self.generator.recycle(g_input_grad);
         self.generator.apply_update(&self.rule, self.step);
-        self.discriminator.zero_grads(); // D gradients from the G pass are discarded.
+        self.discriminator.zero_grads(); // Layers that ignore `through_d` accumulate D gradients.
 
         Ok(StepStats {
             d_loss: d_loss / (2.0 * m),
@@ -4148,6 +4085,39 @@ mod tests {
         .unwrap();
         let inputs: Vec<Tensor> = (0..3).map(|b| det(&[1, 8, 8], 17 + b as u32)).collect();
         check_batched_against_oracle(&spec, false, false, &inputs, &[1]);
+    }
+
+    #[test]
+    fn restricted_backward_matches_the_full_pass() {
+        // What `train_step_batched` asks of each pass: weight gradients
+        // only (D and G phases) or the input gradient only (D in the G
+        // phase). Each must be bit-identical to the full pass's result,
+        // and the skipped result must not be computed.
+        let spec = parse_network("ext", "(1c-8c)(3k2s)-8c3k1s2d+2-8c3k1s-8c3k2s-f1", 2, 8).unwrap();
+        let inputs: Vec<Tensor> = (0..3).map(|b| det(&[1, 8, 8], 60 + b as u32)).collect();
+        let packed = pack_batch(&inputs);
+        let seeds = pack_batch(&(0..3).map(|b| det(&[1], 70 + b)).collect::<Vec<_>>());
+        let build = || build_trainable_with(&spec, false, false, &mut StdRng::seed_from_u64(5));
+        let (mut full, mut params, mut input) = (build(), build(), build());
+        for net in [&mut full, &mut params, &mut input] {
+            let out = net.forward_batch(&packed, 3).unwrap();
+            net.recycle(out);
+        }
+        let din = full.backward_batch(&seeds, 3).unwrap();
+        let params_only = BackwardNeeds {
+            input_grad: false,
+            param_grads: true,
+        };
+        assert!(params.backward_batch_needs(&seeds, 3, params_only).unwrap().is_none());
+        assert_eq!(params.capture_grads(), full.capture_grads());
+        let input_only = BackwardNeeds {
+            input_grad: true,
+            param_grads: false,
+        };
+        let din_only = input.backward_batch_needs(&seeds, 3, input_only).unwrap().unwrap();
+        assert_bits_eq(din_only.data(), din.data(), "input gradient");
+        let untouched = build().capture_grads();
+        assert_eq!(input.capture_grads(), untouched, "no weight gradient accumulated");
     }
 
     #[test]

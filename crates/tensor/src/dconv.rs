@@ -11,10 +11,13 @@
 //!   ([`expand_dilated_kernel`]) and run the dense im2col + GEMM over it
 //!   ([`dconv_zero_insertion`], [`im2col_dconv_into`]). This is the
 //!   formulation whose inserted zeros the workload analytics count as
-//!   `macs_dense`, and the trainer's canonical GEMM shape.
+//!   `macs_dense`, and the single-sample trainer's GEMM shape.
 //! * **Zero-free (direct)** — [`dconv_direct`] touches only the `K` true
 //!   taps per axis, the software realisation of the ZFDR-style plan that
 //!   `lergan-core` maps onto crossbars. Proven equal to the naive path.
+//!
+//! The batched trainer runs neither: it lowers D-CONV through
+//! [`crate::zero_free::PhaseConv`], which these kernels pin bit for bit.
 
 use crate::geometry::DconvGeometry;
 use crate::tensor::Tensor;
@@ -110,126 +113,13 @@ pub fn im2col_dconv_into(input: &Tensor, geom: &DconvGeometry, out: &mut [f32]) 
     }
 }
 
-/// Batched [`im2col_dconv_into`] over `B` concatenated `[C, H, W]` sample
-/// planes: writes the `[C·Kh_eff·Kw_eff, B·Oh·Ow]` matrix whose column
-/// `b·Oh·Ow + p` is exactly [`im2col_dconv_into`]'s column `p` for sample
-/// `b` — the asymmetric, effective-extent analogue of
-/// [`crate::im2col::im2col_batch_into`], sharded across workers by matrix
-/// row (pure data movement, so sharding cannot change any value).
-///
-/// # Panics
-///
-/// Panics if the slice lengths disagree with the geometry.
-pub fn im2col_dconv_batch_into(
-    inputs: &[f32],
-    batch: usize,
-    channels: usize,
-    geom: &DconvGeometry,
-    out: &mut [f32],
-) {
-    let (eh, ew) = (geom.rows.effective_kernel(), geom.cols.effective_kernel());
-    let (oh, ow) = (geom.rows.output, geom.cols.output);
-    let (h, w) = (geom.rows.input, geom.cols.input);
-    let (sh, sw) = (geom.rows.stride, geom.cols.stride);
-    let (ph, pw) = (geom.rows.pad, geom.cols.pad);
-    let slen = channels * h * w;
-    assert_eq!(inputs.len(), batch * slen, "batch input length mismatch");
-    let red = channels * eh * ew;
-    let (oo, bo) = (oh * ow, batch * oh * ow);
-    assert_eq!(out.len(), red * bo, "im2col buffer length mismatch");
-    let min_rows = (crate::tensor::MIN_PARALLEL_FLOPS / bo.max(1)).max(1);
-    crate::parallel::for_each_unit_chunk_mut(out, bo, min_rows, |row0, rows| {
-        for (d, orow) in rows.chunks_mut(bo).enumerate() {
-            let row = row0 + d;
-            let ci = row / (eh * ew);
-            let ky = (row / ew) % eh;
-            let kx = row % ew;
-            // In-bounds column range (`pw ≤ ox·sw + kx < pw + w`), hoisted
-            // so the inner loop carries no per-element padding branch.
-            let x_lo = pw.saturating_sub(kx).div_ceil(sw).min(ow);
-            let x_hi = if pw + w > kx {
-                (pw + w - kx).div_ceil(sw).min(ow)
-            } else {
-                0
-            }
-            .max(x_lo);
-            for b in 0..batch {
-                let plane = &inputs[b * slen + ci * h * w..b * slen + (ci + 1) * h * w];
-                let brow = &mut orow[b * oo..(b + 1) * oo];
-                for oy in 0..oh {
-                    let y = oy * sh + ky;
-                    let dst = &mut brow[oy * ow..(oy + 1) * ow];
-                    if y < ph || y >= ph + h {
-                        dst.fill(0.0);
-                        continue;
-                    }
-                    let irow = &plane[(y - ph) * w..(y - ph + 1) * w];
-                    dst[..x_lo].fill(0.0);
-                    dst[x_hi..].fill(0.0);
-                    if sw == 1 {
-                        dst[x_lo..x_hi]
-                            .copy_from_slice(&irow[x_lo + kx - pw..x_hi + kx - pw]);
-                    } else {
-                        let base = x_lo * sw + kx - pw;
-                        for (i, slot) in dst[x_lo..x_hi].iter_mut().enumerate() {
-                            *slot = irow[base + i * sw];
-                        }
-                    }
-                }
-            }
-        }
-    });
-}
-
-/// Transposed [`im2col_dconv_into`] over a raw `[C, H, W]` slice: writes
-/// the `[Oh·Ow, C·Kh_eff·Kw_eff]` matrix whose row `p = oy·Ow + ox` holds
-/// the dense effective-extent window at output position `p` in ascending
-/// `(ci, ky, kx)` order — exactly [`im2col_dconv_into`]'s column `p`,
-/// relaid row-major.
-///
-/// # Panics
-///
-/// Panics if the slice lengths disagree with the geometry.
-pub fn im2col_dconv_t_into(input: &[f32], channels: usize, geom: &DconvGeometry, out: &mut [f32]) {
-    let (eh, ew) = (geom.rows.effective_kernel(), geom.cols.effective_kernel());
-    let (oh, ow) = (geom.rows.output, geom.cols.output);
-    let (h, w) = (geom.rows.input, geom.cols.input);
-    let (sh, sw) = (geom.rows.stride, geom.cols.stride);
-    let (ph, pw) = (geom.rows.pad, geom.cols.pad);
-    assert_eq!(input.len(), channels * h * w, "input length mismatch");
-    let red = channels * eh * ew;
-    assert_eq!(out.len(), oh * ow * red, "im2col buffer length mismatch");
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let prow = &mut out[(oy * ow + ox) * red..(oy * ow + ox + 1) * red];
-            let mut r = 0;
-            for ci in 0..channels {
-                let plane = &input[ci * h * w..(ci + 1) * h * w];
-                for ky in 0..eh {
-                    let y = oy * sh + ky;
-                    if y < ph || y >= ph + h {
-                        prow[r..r + ew].fill(0.0);
-                        r += ew;
-                        continue;
-                    }
-                    let irow = &plane[(y - ph) * w..(y - ph + 1) * w];
-                    for kx in 0..ew {
-                        let x = ox * sw + kx;
-                        prow[r] = if x < pw || x >= pw + w { 0.0 } else { irow[x - pw] };
-                        r += 1;
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Zero-free D-CONV input gradient: scatters `∇output` back through the
 /// `Kh·Kw` true taps only, accumulating into a caller-owned `∇input` slice
 /// of length `IC·H·W` that **must arrive zeroed**. For a fixed `∇input`
-/// element the additions arrive in ascending `(co, oy, jy, ox, jx)` order
-/// regardless of the caller, so the single-sample and batched trainers
-/// produce bit-identical gradients through this one loop nest.
+/// element the additions arrive in ascending `(co, oy, jy, ox, jx)` order —
+/// `(co, jy↓, jx↓)` — the chain the single-sample trainer uses and the
+/// reference for the batched trainer's
+/// [`PhaseConv::dconv_input_grad`](crate::zero_free::PhaseConv::dconv_input_grad).
 ///
 /// # Panics
 ///
@@ -445,41 +335,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_dconv_im2col_stacks_per_sample_columns_bitwise() {
-        // Column b·Oh·Ow + p must be bit-identical to column p of sample
-        // b's own matrix, at every worker count.
-        let batch = 3;
-        let geom = DconvGeometry::square(8, 3, 1, 2, 2).unwrap();
-        let c = 2;
-        let (eh, ew) = (geom.rows.effective_kernel(), geom.cols.effective_kernel());
-        let (red, oo) = (c * eh * ew, geom.rows.output * geom.cols.output);
-        let samples: Vec<Tensor> = (0..batch).map(|b| det(&[c, 8, 8], 11 + b as u32)).collect();
-        let mut inputs = Vec::new();
-        for t in &samples {
-            inputs.extend_from_slice(t.data());
-        }
-        for threads in [1usize, 2, 8] {
-            let mut batched = vec![f32::NAN; red * batch * oo];
-            crate::parallel::with_threads(threads, || {
-                im2col_dconv_batch_into(&inputs, batch, c, &geom, &mut batched);
-            });
-            for (b, t) in samples.iter().enumerate() {
-                let mut cols = vec![0.0; red * oo];
-                im2col_dconv_into(t, &geom, &mut cols);
-                for r in 0..red {
-                    for q in 0..oo {
-                        assert_eq!(
-                            batched[r * batch * oo + b * oo + q].to_bits(),
-                            cols[r * oo + q].to_bits(),
-                            "sample {b} element ({r},{q}) threads={threads}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn expanded_kernel_places_taps_at_dilation_multiples() {
         let geom = DconvGeometry::square(8, 3, 1, 2, 2).unwrap();
         let weights = det(&[2, 1, 3, 3], 3);
@@ -537,29 +392,6 @@ mod tests {
                         &compact.data()[crow * positions..(crow + 1) * positions],
                         &dense.data()[drow * positions..(drow + 1) * positions],
                         "tap ({ci},{jy},{jx})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn transposed_dconv_im2col_is_the_exact_transpose() {
-        for (i, k, s, d, p, c) in [(8, 3, 1, 2, 2, 2), (9, 3, 2, 3, 3, 1), (16, 2, 2, 4, 0, 3)] {
-            let geom = DconvGeometry::square(i, k, s, d, p).unwrap();
-            let input = det(&[c, i, i], i as u32 + 17);
-            let (eh, ew) = (geom.rows.effective_kernel(), geom.cols.effective_kernel());
-            let (red, oo) = (c * eh * ew, geom.rows.output * geom.cols.output);
-            let mut cols = vec![0.0; red * oo];
-            im2col_dconv_into(&input, &geom, &mut cols);
-            let mut cols_t = vec![0.0; oo * red];
-            im2col_dconv_t_into(input.data(), c, &geom, &mut cols_t);
-            for r in 0..red {
-                for p_ in 0..oo {
-                    assert_eq!(
-                        cols[r * oo + p_].to_bits(),
-                        cols_t[p_ * red + r].to_bits(),
-                        "(i={i},k={k},s={s},d={d},p={p}) element ({r},{p_})"
                     );
                 }
             }

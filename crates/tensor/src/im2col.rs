@@ -75,142 +75,6 @@ pub fn im2col_into(input: &Tensor, geom: &SconvGeometry, out: &mut [f32]) {
     }
 }
 
-/// Batched [`im2col_into`] over `B` concatenated `[C, H, W]` sample
-/// planes: writes the `[C·K·K, B·O·O]` matrix whose column `b·O·O + p` is
-/// exactly [`im2col_into`]'s column `p` for sample `b` — the per-sample
-/// matrices stacked along the *column* axis.
-///
-/// This is the batched trainer's GEMM operand: one
-/// `[OC, C·K·K] × [C·K·K, B·O·O]` product covers the whole batch with `n`
-/// multiplied by `B`, which keeps the GEMM kernels' SIMD lanes (they run
-/// across output columns) saturated — the `m`-multiplied stacking starves
-/// them whenever `OC` is small. Work is sharded across workers by matrix
-/// row; every element is a pure copy or a structural zero, so the
-/// sharding cannot change any value.
-///
-/// Unlike the per-sample reference builders, this one takes the fast
-/// paths the trainer's hot loop earns: stride-1 window rows are straight
-/// `memcpy`s, and strided rows precompute the in-bounds column range so
-/// the inner loop carries no per-element padding branch. Both are pure
-/// data movement — the emitted values are bit-identical to
-/// [`im2col_into`]'s (pinned by the stacking test).
-///
-/// # Panics
-///
-/// Panics if the slice lengths disagree with the geometry.
-pub fn im2col_batch_into(
-    inputs: &[f32],
-    batch: usize,
-    channels: usize,
-    geom: &SconvGeometry,
-    out: &mut [f32],
-) {
-    let k = geom.kernel;
-    let o = geom.output;
-    let h = geom.input;
-    let (stride, pad) = (geom.stride, geom.pad);
-    let slen = channels * h * h;
-    assert_eq!(inputs.len(), batch * slen, "batch input length mismatch");
-    let red = channels * k * k;
-    let (oo, bo) = (o * o, batch * o * o);
-    assert_eq!(out.len(), red * bo, "im2col buffer length mismatch");
-    let min_rows = (crate::tensor::MIN_PARALLEL_FLOPS / bo.max(1)).max(1);
-    crate::parallel::for_each_unit_chunk_mut(out, bo, min_rows, |row0, rows| {
-        for (d, orow) in rows.chunks_mut(bo).enumerate() {
-            let row = row0 + d;
-            let ci = row / (k * k);
-            let ky = (row / k) % k;
-            let kx = row % k;
-            // Columns `ox` whose tap `x = ox·stride + kx` lands inside the
-            // unpadded plane: `pad ≤ x < pad + h`. Everything outside the
-            // range is a structural zero.
-            let x_lo = pad.saturating_sub(kx).div_ceil(stride).min(o);
-            let x_hi = if pad + h > kx {
-                (pad + h - kx).div_ceil(stride).min(o)
-            } else {
-                0
-            }
-            .max(x_lo);
-            for b in 0..batch {
-                let plane = &inputs[b * slen + ci * h * h..b * slen + (ci + 1) * h * h];
-                let brow = &mut orow[b * oo..(b + 1) * oo];
-                for oy in 0..o {
-                    let y = oy * stride + ky;
-                    let dst = &mut brow[oy * o..(oy + 1) * o];
-                    if y < pad || y >= pad + h {
-                        dst.fill(0.0);
-                        continue;
-                    }
-                    let irow = &plane[(y - pad) * h..(y - pad + 1) * h];
-                    dst[..x_lo].fill(0.0);
-                    dst[x_hi..].fill(0.0);
-                    if stride == 1 {
-                        // Contiguous window row: one copy.
-                        dst[x_lo..x_hi]
-                            .copy_from_slice(&irow[x_lo + kx - pad..x_hi + kx - pad]);
-                    } else {
-                        let base = x_lo * stride + kx - pad;
-                        for (i, slot) in dst[x_lo..x_hi].iter_mut().enumerate() {
-                            *slot = irow[base + i * stride];
-                        }
-                    }
-                }
-            }
-        }
-    });
-}
-
-/// Transposed [`im2col_into`] over a raw `[C, H, W]` slice: writes the
-/// `[O·O, C·K·K]` matrix whose row `p = oy·O + ox` holds the window at
-/// output position `p` in ascending `(ci, ky, kx)` order — exactly
-/// [`im2col_into`]'s column `p`, relaid row-major.
-///
-/// This is the layout for GEMMs that want window-major operands (e.g.
-/// products against a `[C·K·K, OC]` weight matrix with `m = O·O`). Taking
-/// the input as a slice (not a [`Tensor`]) lets callers pass per-sample
-/// planes of a batch buffer without intermediate views. Padding taps are
-/// written as `0.0`, matching the padded formulation exactly.
-///
-/// # Panics
-///
-/// Panics if the slice lengths disagree with the geometry.
-pub fn im2col_t_into(input: &[f32], channels: usize, geom: &SconvGeometry, out: &mut [f32]) {
-    let k = geom.kernel;
-    let o = geom.output;
-    let h = geom.input;
-    let (stride, pad) = (geom.stride, geom.pad);
-    assert_eq!(input.len(), channels * h * h, "input length mismatch");
-    let red = channels * k * k;
-    assert_eq!(out.len(), o * o * red, "im2col buffer length mismatch");
-    for oy in 0..o {
-        for ox in 0..o {
-            let prow = &mut out[(oy * o + ox) * red..(oy * o + ox + 1) * red];
-            let mut r = 0;
-            for ci in 0..channels {
-                let plane = &input[ci * h * h..(ci + 1) * h * h];
-                for ky in 0..k {
-                    let y = oy * stride + ky;
-                    if y < pad || y >= pad + h {
-                        prow[r..r + k].fill(0.0);
-                        r += k;
-                        continue;
-                    }
-                    let irow = &plane[(y - pad) * h..(y - pad + 1) * h];
-                    for kx in 0..k {
-                        let x = ox * stride + kx;
-                        prow[r] = if x < pad || x >= pad + h {
-                            0.0
-                        } else {
-                            irow[x - pad]
-                        };
-                        r += 1;
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Reshapes `[OC, IC, K, K]` kernels into the GEMM weight matrix
 /// `[OC, IC·K·K]` matching [`im2col`]'s row order.
 ///
@@ -272,65 +136,6 @@ mod tests {
             state = state.wrapping_mul(1664525).wrapping_add(1013904223);
             ((state >> 16) as f32 / 65536.0) - 0.5
         })
-    }
-
-    #[test]
-    fn transposed_im2col_is_the_exact_transpose() {
-        for (i, k, s, p, c) in [(8, 3, 1, 1, 2), (8, 5, 2, 2, 3), (6, 3, 3, 0, 1)] {
-            let geom = SconvGeometry::new(i, k, s, p).unwrap();
-            let input = det(&[c, i, i], i as u32 + 3);
-            let (red, oo) = (c * k * k, geom.output * geom.output);
-            let mut cols = vec![0.0; red * oo];
-            im2col_into(&input, &geom, &mut cols);
-            let mut cols_t = vec![0.0; oo * red];
-            im2col_t_into(input.data(), c, &geom, &mut cols_t);
-            for r in 0..red {
-                for p_ in 0..oo {
-                    assert_eq!(
-                        cols[r * oo + p_].to_bits(),
-                        cols_t[p_ * red + r].to_bits(),
-                        "(i={i},k={k},s={s},p={p}) element ({r},{p_})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batched_im2col_stacks_per_sample_columns_bitwise() {
-        // Column b·O·O + p of the batched matrix must be bit-identical to
-        // column p of sample b's own im2col matrix, at every worker count
-        // (row sharding is pure data movement).
-        let batch = 3;
-        for (i, k, s, p, c) in [(8, 3, 1, 1, 2), (8, 5, 2, 2, 3), (6, 3, 3, 0, 1)] {
-            let geom = SconvGeometry::new(i, k, s, p).unwrap();
-            let (red, oo) = (c * k * k, geom.output * geom.output);
-            let samples: Vec<Tensor> =
-                (0..batch).map(|b| det(&[c, i, i], (i + b) as u32)).collect();
-            let mut inputs = Vec::new();
-            for t in &samples {
-                inputs.extend_from_slice(t.data());
-            }
-            for threads in [1usize, 2, 8] {
-                let mut batched = vec![f32::NAN; red * batch * oo];
-                crate::parallel::with_threads(threads, || {
-                    im2col_batch_into(&inputs, batch, c, &geom, &mut batched);
-                });
-                for (b, t) in samples.iter().enumerate() {
-                    let mut cols = vec![0.0; red * oo];
-                    im2col_into(t, &geom, &mut cols);
-                    for r in 0..red {
-                        for q in 0..oo {
-                            assert_eq!(
-                                batched[r * batch * oo + b * oo + q].to_bits(),
-                                cols[r * oo + q].to_bits(),
-                                "(i={i},k={k},s={s},p={p}) sample {b} element ({r},{q}) threads={threads}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -6,8 +6,11 @@
 //! transposed convolution (T-CONV), and the weight-gradient convolution
 //! (W-CONV) — has a straightforward, obviously-correct implementation here,
 //! including the *zero-insertion* formulation of T-CONV/W-CONV that the paper
-//! analyses in Section III-A (Fig. 4–6). The zero-free ZFDR execution in
-//! `lergan-core` is validated against these kernels.
+//! analyses in Section III-A (Fig. 4–6). Two zero-free executions are
+//! validated against these kernels: the ZFDR engine in `lergan-core`, and
+//! [`zero_free::PhaseConv`], the phase-class GEMM lowering that runs every
+//! batched conv direction of the `lergan-gan` trainer (T-CONV, D-CONV and
+//! the strided-conv input gradient) on true values only.
 //!
 //! # Example
 //!
@@ -32,6 +35,7 @@ pub mod parallel;
 pub mod quant;
 pub mod tensor;
 pub mod workspace;
+pub mod zero_free;
 pub mod zero_insert;
 
 pub use conv::Conv2d;

@@ -13,6 +13,11 @@
 //! allocating, and every per-worker scratch buffer (the thread-local
 //! workspaces the batched backward draws its per-sample partials from,
 //! and the packed-GEMM pack buffers) is warmed by the first step.
+//!
+//! The counter sees only the threads that run the step — the test thread
+//! and the pool workers it dispatches to — so the test harness's own
+//! bookkeeping on other threads cannot leak into a window, and a mutex
+//! keeps the two tests' windows from overlapping.
 
 use lergan::gan::topology::parse_network;
 use lergan::gan::train::{build_trainable_with, Gan, UpdateRule};
@@ -20,7 +25,9 @@ use lergan::tensor::{parallel, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// Counts every allocation and reallocation while armed; frees are not
 /// counted (returning pooled buffers is allowed to be a no-op, and drops
@@ -30,25 +37,31 @@ struct CountingAlloc;
 static ARMED: AtomicBool = AtomicBool::new(false);
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Whether this thread runs the step under test.
+    static TRACKED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts an allocation while armed, on a thread that runs the step.
+fn count() {
+    if ARMED.load(Ordering::Relaxed) && TRACKED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -60,8 +73,38 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Serialises the tests: they share the one global counter, so two armed
+/// windows running at once would count each other's allocations.
+static COUNTER: Mutex<()> = Mutex::new(());
+
+/// Exclusive use of the counter, with the calling thread and the first
+/// `threads − 1` pool workers (the ones every region of at most `threads`
+/// dispatches to) tracked. Dropping it untracks the calling thread before
+/// the next test may arm.
+struct Window {
+    _lock: MutexGuard<'static, ()>,
+}
+
+impl Window {
+    fn open(threads: usize) -> Self {
+        let lock = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
+        TRACKED.with(|t| t.set(true));
+        parallel::with_threads(threads, || {
+            parallel::for_each_range(threads, 1, |_| TRACKED.with(|t| t.set(true)));
+        });
+        Window { _lock: lock }
+    }
+}
+
+impl Drop for Window {
+    fn drop(&mut self) {
+        TRACKED.with(|t| t.set(false));
+    }
+}
+
 #[test]
 fn steady_state_train_step_performs_zero_heap_allocations() {
+    let _window = Window::open(1);
     parallel::with_threads(1, || {
         // The same DCGAN-style topology the benchmark suite times.
         let mut rng = StdRng::seed_from_u64(1);
@@ -97,11 +140,13 @@ fn steady_state_batched_step_is_alloc_free_at_eight_threads() {
     // The batched train step must hold the same zero-allocation promise
     // with the worker pool engaged: per-sample gradient partials live in
     // per-worker thread workspaces, and the fixed reduction tree runs in
-    // buffers the warmup step already pooled.
+    // buffers the warmup step already pooled. The dilated layer holds the
+    // D-CONV lowering's cached class plans to the same promise.
+    let _window = Window::open(8);
     parallel::with_threads(8, || {
         let mut rng = StdRng::seed_from_u64(3);
         let gen_spec = parse_network("g", "8f-(8t-4t)(3k2s)-t1", 2, 16).unwrap();
-        let disc_spec = parse_network("d", "(1c-8c)(3k2s)-f1", 2, 16).unwrap();
+        let disc_spec = parse_network("d", "(1c-8c)(3k2s)-8c3k1s2d-f1", 2, 16).unwrap();
         let g = build_trainable_with(&gen_spec, true, false, &mut rng);
         let d = build_trainable_with(&disc_spec, false, false, &mut rng);
         let mut gan = Gan::new(g, d, 8, 0.01, 4).with_optimizer(UpdateRule::dcgan_adam(0.01));
