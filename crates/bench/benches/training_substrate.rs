@@ -4,7 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lergan_gan::topology::parse_network;
-use lergan_gan::train::{build_trainable_with, BatchNorm, Gan, TrainableLayer, UpdateRule};
+use lergan_gan::train::{
+    build_trainable_with, pack_batch, BatchNorm, Gan, TrainableLayer, UpdateRule,
+};
 use lergan_reram::bitslice::sliced_dot;
 use lergan_reram::ReramConfig;
 use lergan_tensor::quant::{quantized_mmv, FixedPoint};
@@ -20,27 +22,31 @@ fn bench_train_step(c: &mut Criterion) {
     let g = build_trainable_with(&gen_spec, true, false, &mut rng);
     let d = build_trainable_with(&disc_spec, false, false, &mut rng);
     let mut gan = Gan::new(g, d, 8, 0.01, 2).with_optimizer(UpdateRule::dcgan_adam(0.01));
-    let reals: Vec<Tensor> = (0..2).map(|_| Tensor::filled(&[1, 16, 16], 0.5)).collect();
+    let reals = pack_batch(&[
+        Tensor::filled(&[1, 16, 16], 0.5),
+        Tensor::filled(&[1, 16, 16], 0.5),
+    ])
+    .unwrap();
     c.bench_function("gan_train_step_16px", |b| {
-        b.iter(|| gan.train_step(black_box(&reals)))
+        b.iter(|| gan.train_step_batched(black_box(&reals)).unwrap())
     });
 }
 
 fn bench_batchnorm(c: &mut Criterion) {
     let mut ws = Workspace::new();
     let mut bn = BatchNorm::new(16);
-    let input = Tensor::from_fn(&[16, 16, 16], |i| (i[0] + i[1] * i[2]) as f32 * 0.01);
+    let input = Tensor::from_fn(&[1, 16, 16, 16], |i| (i[1] + i[2] * i[3]) as f32 * 0.01);
     c.bench_function("batchnorm_forward_16x16x16", |b| {
         b.iter(|| {
-            let out = bn.forward(black_box(&input), &mut ws);
+            let out = bn.forward_batch(black_box(&input), 1, &mut ws).unwrap();
             ws.give_tensor(out);
         })
     });
-    let _ = bn.forward(&input, &mut ws);
-    let grad = Tensor::ones(&[16, 16, 16]);
+    let _ = bn.forward_batch(&input, 1, &mut ws).unwrap();
+    let grad = Tensor::ones(&[1, 16, 16, 16]);
     c.bench_function("batchnorm_backward_16x16x16", |b| {
         b.iter(|| {
-            let din = bn.backward(black_box(&grad), &mut ws);
+            let din = bn.backward_batch(black_box(&grad), 1, &mut ws).unwrap();
             ws.give_tensor(din);
         })
     });

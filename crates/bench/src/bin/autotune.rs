@@ -17,6 +17,7 @@
 //! thread: dispatch must win in the regime CI measures, and the parallel
 //! substrate splits rows identically for every strategy anyway.
 
+use lergan_bench::harness::time_ns;
 use lergan_gan::benchmarks;
 use lergan_gan::ir::OpGraph;
 use lergan_tensor::dispatch::{simd_available, with_strategy, ForcedStrategy};
@@ -24,7 +25,7 @@ use lergan_tensor::tensor::{gemm, gemm_nt};
 use lergan_tensor::{parallel, Tensor};
 use std::collections::BTreeSet;
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Dimension clamp matching `perf_snapshot`'s per-GAN GEMM entries.
 const DIM_CAP: usize = 192;
@@ -46,39 +47,9 @@ fn det(shape: &[usize], seed: u32) -> Tensor {
     })
 }
 
-/// Nanoseconds per iteration as the minimum mean over three ~20 ms
-/// measurement windows (same estimator as `perf_snapshot`): scheduler
-/// preemption only ever inflates a window, so the min survives the
-/// noise spikes a single window's mean absorbs — on a busy host those
-/// spikes are large enough to flip a strategy comparison and tune
-/// wrong thresholds. The total ~60 ms budget per triple is kept light
-/// since the sweep times every (shape, strategy, entry point).
-fn time_ns(mut f: impl FnMut()) -> f64 {
-    f();
-    let window = Duration::from_millis(20);
-    let mut iters: u64 = 1;
-    let (mut best, iters) = loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        let elapsed = start.elapsed();
-        let per = (elapsed.as_nanos() as f64 / iters as f64).max(1.0);
-        if elapsed >= window || iters >= 1_000_000 {
-            break (per, iters);
-        }
-        iters = ((2.0e7 / per).ceil() as u64).clamp(iters * 2, 1_000_000);
-    };
-    for _ in 0..2 {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        let per = (start.elapsed().as_nanos() as f64 / iters as f64).max(1.0);
-        best = best.min(per);
-    }
-    best
-}
+/// Measurement window of [`time_ns`]: a light ~60 ms budget per
+/// triple, since the sweep times every (shape, strategy, entry point).
+const WINDOW: Duration = Duration::from_millis(20);
 
 /// Per-shape timings of the three strategies for one entry point.
 struct Sample {
@@ -164,7 +135,7 @@ fn main() {
         let timed = |forced: ForcedStrategy, nt: bool| {
             parallel::with_threads(1, || {
                 with_strategy(forced, || {
-                    time_ns(|| {
+                    time_ns(WINDOW, || {
                         if nt {
                             black_box(gemm_nt(black_box(&a), black_box(&bt)));
                         } else {

@@ -32,6 +32,7 @@
 //!
 //! Usage: `perf_snapshot [output.json]` (default `BENCH_zfdr.json`).
 
+use lergan_bench::harness::time_ns;
 use lergan_bench::naive;
 use lergan_core::zfdr::exec::{
     execute_tconv, execute_tconv_reference, execute_wconv, execute_wconv_reference, TconvEngine,
@@ -41,7 +42,7 @@ use lergan_core::ZfdrPlan;
 use lergan_gan::benchmarks;
 use lergan_gan::ir::OpGraph;
 use lergan_gan::topology::parse_network;
-use lergan_gan::train::{build_trainable_with, Gan, UpdateRule};
+use lergan_gan::train::{build_trainable_with, pack_batch, Gan, UpdateRule};
 use lergan_tensor::dconv::{dconv_zero_free, dconv_zero_insertion};
 use lergan_tensor::dispatch::{with_strategy, ForcedStrategy};
 use lergan_tensor::im2col::conv2d_gemm;
@@ -51,7 +52,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn det(shape: &[usize], seed: u32) -> Tensor {
     let mut state = seed.wrapping_mul(747796405).wrapping_add(1);
@@ -61,38 +62,8 @@ fn det(shape: &[usize], seed: u32) -> Tensor {
     })
 }
 
-/// Nanoseconds per iteration: one warmup call, a calibration loop
-/// growing the iteration count until a window spans ~70 ms, then two
-/// more windows at that count. Returns the *minimum* window mean —
-/// scheduler preemption and interrupt noise only ever inflate a
-/// window, so the min is the stable estimator (a single long window's
-/// mean absorbs every hiccup and jitters >10% on a busy 1-core host).
-fn time_ns(mut f: impl FnMut()) -> f64 {
-    f();
-    let window = Duration::from_millis(70);
-    let mut iters: u64 = 1;
-    let (mut best, iters) = loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        let elapsed = start.elapsed();
-        let per = (elapsed.as_nanos() as f64 / iters as f64).max(1.0);
-        if elapsed >= window || iters >= 1_000_000 {
-            break (per, iters);
-        }
-        iters = ((7.0e7 / per).ceil() as u64).clamp(iters * 2, 1_000_000);
-    };
-    for _ in 0..2 {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        let per = (start.elapsed().as_nanos() as f64 / iters as f64).max(1.0);
-        best = best.min(per);
-    }
-    best
-}
+/// Measurement window of [`time_ns`]'s calibration and timing runs.
+const WINDOW: Duration = Duration::from_millis(70);
 
 // ---------------------------------------------------------------------
 // Faithful copy of the original per-position ZFDR implementation (lazy
@@ -236,13 +207,13 @@ fn main() {
     let geom = TconvGeometry::for_upsampling(4, 5, 2).unwrap();
     let input = det(&[16, 4, 4], 1);
     let weights = det(&[8, 16, 5, 5], 2);
-    let ns = time_ns(|| {
+    let ns = time_ns(WINDOW, || {
         black_box(seed_tconv(black_box(&input), black_box(&weights), &geom));
     });
     record("tconv_conv1_16x8ch/seed_per_position", 1, ns);
     for t in [1, threads] {
         let ns = parallel::with_threads(t, || {
-            time_ns(|| {
+            time_ns(WINDOW, || {
                 black_box(execute_tconv_reference(
                     black_box(&input),
                     black_box(&weights),
@@ -252,7 +223,7 @@ fn main() {
         });
         record("tconv_conv1_16x8ch/reference", t, ns);
         let ns = parallel::with_threads(t, || {
-            time_ns(|| {
+            time_ns(WINDOW, || {
                 black_box(execute_tconv(black_box(&input), black_box(&weights), &geom));
             })
         });
@@ -266,7 +237,7 @@ fn main() {
     let engine = TconvEngine::new(&weights, &geom);
     for t in [1, threads] {
         let ns = parallel::with_threads(t, || {
-            time_ns(|| {
+            time_ns(WINDOW, || {
                 black_box(engine.execute(black_box(&input)));
             })
         });
@@ -280,7 +251,7 @@ fn main() {
     let geom_w = TconvGeometry::for_upsampling(16, 5, 2).unwrap();
     let input_w = det(&[64, 16, 16], 5);
     let weights_w = det(&[32, 64, 5, 5], 6);
-    let ns = time_ns(|| {
+    let ns = time_ns(WINDOW, || {
         black_box(seed_tconv(
             black_box(&input_w),
             black_box(&weights_w),
@@ -290,7 +261,7 @@ fn main() {
     record("tconv_16to32_64x32ch/seed_per_position", 1, ns);
     for t in [1, threads] {
         let ns = parallel::with_threads(t, || {
-            time_ns(|| {
+            time_ns(WINDOW, || {
                 black_box(execute_tconv(
                     black_box(&input_w),
                     black_box(&weights_w),
@@ -306,7 +277,7 @@ fn main() {
     let engine_w = TconvEngine::new(&weights_w, &geom_w);
     for t in [1, threads] {
         let ns = parallel::with_threads(t, || {
-            time_ns(|| {
+            time_ns(WINDOW, || {
                 black_box(engine_w.execute(black_box(&input_w)));
             })
         });
@@ -320,13 +291,13 @@ fn main() {
     let geom_g = WconvGeometry::new(8, 5, 2, 2).unwrap();
     let input_g = det(&[8, 8, 8], 3);
     let dout_g = det(&[8, 4, 4], 4);
-    let ns = time_ns(|| {
+    let ns = time_ns(WINDOW, || {
         black_box(seed_wconv(black_box(&input_g), black_box(&dout_g), &geom_g));
     });
     record("wconv_8x8_8ch/seed_per_position", 1, ns);
     for t in [1, threads] {
         let ns = parallel::with_threads(t, || {
-            time_ns(|| {
+            time_ns(WINDOW, || {
                 black_box(execute_wconv_reference(
                     black_box(&input_g),
                     black_box(&dout_g),
@@ -336,7 +307,7 @@ fn main() {
         });
         record("wconv_8x8_8ch/reference", t, ns);
         let ns = parallel::with_threads(t, || {
-            time_ns(|| {
+            time_ns(WINDOW, || {
                 black_box(execute_wconv(
                     black_box(&input_g),
                     black_box(&dout_g),
@@ -354,7 +325,7 @@ fn main() {
     let engine_g = WconvEngine::new(&geom_g);
     for t in [1, threads] {
         let ns = parallel::with_threads(t, || {
-            time_ns(|| {
+            time_ns(WINDOW, || {
                 black_box(engine_g.execute(black_box(&input_g), black_box(&dout_g)));
             })
         });
@@ -379,7 +350,7 @@ fn main() {
     let weights_d = det(&[16, 16, 3, 3], 10);
     for t in [1, threads] {
         let ns = parallel::with_threads(t, || {
-            time_ns(|| {
+            time_ns(WINDOW, || {
                 black_box(dconv_zero_insertion(
                     black_box(&input_d),
                     black_box(&weights_d),
@@ -389,7 +360,7 @@ fn main() {
         });
         record("dconv_16px_16x16ch_d2/zero_inserted", t, ns);
         let ns = parallel::with_threads(t, || {
-            time_ns(|| {
+            time_ns(WINDOW, || {
                 black_box(dconv_zero_free(
                     black_box(&input_d),
                     black_box(&weights_d),
@@ -409,7 +380,7 @@ fn main() {
     let weights_s = det(&[32, 32, 5, 5], 8);
     for t in [1, threads] {
         let ns = parallel::with_threads(t, || {
-            time_ns(|| {
+            time_ns(WINDOW, || {
                 black_box(conv2d_gemm(
                     black_box(&input_s),
                     black_box(&weights_s),
@@ -458,7 +429,7 @@ fn main() {
         let forced_ns = |fs: ForcedStrategy| {
             parallel::with_threads(1, || {
                 with_strategy(fs, || {
-                    time_ns(|| {
+                    time_ns(WINDOW, || {
                         black_box(gemm(black_box(&a), black_box(&b)));
                     })
                 })
@@ -469,7 +440,7 @@ fn main() {
         let simd_ns = forced_ns(ForcedStrategy::Simd);
         let dispatch_ns = forced_ns(ForcedStrategy::Auto);
         let naive_ns = parallel::with_threads(1, || {
-            time_ns(|| {
+            time_ns(WINDOW, || {
                 black_box(naive::gemm(black_box(&a), black_box(&b)));
             })
         });
@@ -495,14 +466,14 @@ fn main() {
     let mmv_vec: Vec<f32> = det(&[1024], 34).data().to_vec();
     let mmv_direct_ns = parallel::with_threads(1, || {
         with_strategy(ForcedStrategy::Auto, || {
-            time_ns(|| {
+            time_ns(WINDOW, || {
                 black_box(mmv(black_box(&mmv_mat), black_box(&mmv_vec)));
             })
         })
     });
     let mmv_blocked_ns = parallel::with_threads(1, || {
         with_strategy(ForcedStrategy::Packed, || {
-            time_ns(|| {
+            time_ns(WINDOW, || {
                 black_box(mmv(black_box(&mmv_mat), black_box(&mmv_vec)));
             })
         })
@@ -522,11 +493,15 @@ fn main() {
     let g = build_trainable_with(&gen_spec, true, false, &mut rng);
     let d = build_trainable_with(&disc_spec, false, false, &mut rng);
     let mut gan = Gan::new(g, d, 8, 0.01, 2).with_optimizer(UpdateRule::dcgan_adam(0.01));
-    let reals: Vec<Tensor> = (0..2).map(|_| Tensor::filled(&[1, 16, 16], 0.5)).collect();
+    let reals = pack_batch(&[
+        Tensor::filled(&[1, 16, 16], 0.5),
+        Tensor::filled(&[1, 16, 16], 0.5),
+    ])
+    .expect("same-shaped samples");
     for t in [1, threads] {
         let ns = parallel::with_threads(t, || {
-            time_ns(|| {
-                black_box(gan.train_step(black_box(&reals)));
+            time_ns(WINDOW, || {
+                black_box(gan.train_step_batched(black_box(&reals)).unwrap());
             })
         });
         record("gan_train_step_16px/full", t, ns);

@@ -1,14 +1,15 @@
 //! Batch-parallel training scaling sweep, written to `BENCH_scaling.json`.
 //!
-//! Measures the tentpole claim of the batched trainer: one
-//! `train_step_batched` call over a packed batch of B samples against B
-//! sequential batch-1 `train_step` calls — the batched step fuses every
-//! layer's B small GEMMs into one GEMM with `m` multiplied by B and pays
-//! the optimiser apply once instead of B times. Timed on the reduced
-//! 16 px DCGAN (the acceptance workload) and on a suite of reduced
-//! benchmark-GAN topologies spanning the op-graph grammar (deeper 32 px
-//! stacks, wide channels, dilated convs + skip edges + norm variants),
-//! with the geomean speedup recorded beside the per-GAN entries.
+//! Measures what batching buys the trainer: one `train_step_batched`
+//! call over a packed batch of B samples against B successive
+//! `train_step_batched` calls at B = 1 (the `sequential_8x_b1` entries) —
+//! the B-sample step fuses every layer's B small GEMMs into one GEMM with
+//! `m` multiplied by B and pays the optimiser apply once instead of B
+//! times. Timed on the reduced 16 px DCGAN (the acceptance workload) and
+//! on a suite of reduced benchmark-GAN topologies spanning the op-graph
+//! grammar (deeper 32 px stacks, wide channels, dilated convs + skip
+//! edges + norm variants), with the geomean speedup recorded beside the
+//! per-GAN entries.
 //!
 //! Strong scaling of the batched step is recorded at `LERGAN_THREADS`
 //! ∈ {1, 2, 8}; on a single-core host the thread-scaling keys carry the
@@ -24,16 +25,17 @@
 //!
 //! Usage: `scaling_sweep [output.json]` (default `BENCH_scaling.json`).
 
+use lergan_bench::harness::time_ns;
 use lergan_gan::topology::parse_network;
 use lergan_gan::train::{build_trainable_with, pack_batch, Gan, UpdateRule};
 use lergan_tensor::{parallel, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Batch size of the batched step and the length of the sequential run
-/// it is compared against.
+/// Batch size of the batched step and the number of B = 1 steps it is
+/// compared against.
 const BATCH: usize = 8;
 
 /// A reduced benchmark-GAN topology: full Table V networks would take
@@ -80,36 +82,8 @@ const BENCH_GANS: &[BenchGan] = &[
     },
 ];
 
-/// Nanoseconds per iteration: warmup, calibration to a ~70 ms window,
-/// then the minimum over two more windows (preemption only ever
-/// inflates a window, so the min is the stable estimator on a busy
-/// 1-core host).
-fn time_ns(mut f: impl FnMut()) -> f64 {
-    f();
-    let window = Duration::from_millis(70);
-    let mut iters: u64 = 1;
-    let (mut best, iters) = loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        let elapsed = start.elapsed();
-        let per = (elapsed.as_nanos() as f64 / iters as f64).max(1.0);
-        if elapsed >= window || iters >= 1_000_000 {
-            break (per, iters);
-        }
-        iters = ((7.0e7 / per).ceil() as u64).clamp(iters * 2, 1_000_000);
-    };
-    for _ in 0..2 {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        let per = (start.elapsed().as_nanos() as f64 / iters as f64).max(1.0);
-        best = best.min(per);
-    }
-    best
-}
+/// Measurement window of [`time_ns`]'s calibration and timing runs.
+const WINDOW: Duration = Duration::from_millis(70);
 
 fn build_gan(bg: &BenchGan, seed: u64) -> Gan {
     let g_spec = parse_network("g", bg.gen, 2, bg.extent).unwrap();
@@ -125,13 +99,19 @@ fn real_sample(bg: &BenchGan, i: usize) -> Tensor {
     Tensor::filled(&[1, bg.extent, bg.extent], 0.4 + 0.02 * i as f32)
 }
 
+/// The `BATCH` real samples packed into one `[BATCH, 1, H, W]` tensor.
+fn packed_batch(bg: &BenchGan) -> Tensor {
+    let samples: Vec<Tensor> = (0..BATCH).map(|i| real_sample(bg, i)).collect();
+    pack_batch(&samples).expect("same-shaped samples")
+}
+
 /// The fixed-seed batched trajectory: loss bits of `steps` batched steps
 /// on deterministic data, as hex `d:g` pairs. Depends only on f32
 /// arithmetic, so it must replay bit-identically at any worker count.
 fn batched_loss_trace(steps: usize) -> Vec<String> {
     let bg = &BENCH_GANS[0];
     let mut gan = build_gan(bg, 41);
-    let reals = pack_batch(&(0..BATCH).map(|i| real_sample(bg, i)).collect::<Vec<_>>());
+    let reals = packed_batch(bg);
     (0..steps)
         .map(|_| {
             let stats = gan.train_step_batched(&reals).expect("well-formed batch");
@@ -178,14 +158,16 @@ fn main() {
     // ---- Batched vs sequential, per benchmark GAN, 1 thread. ----
     let mut ratios: Vec<(String, f64)> = Vec::new();
     for bg in BENCH_GANS {
-        let singles: Vec<Vec<Tensor>> = (0..BATCH).map(|i| vec![real_sample(bg, i)]).collect();
-        let packed = pack_batch(&(0..BATCH).map(|i| real_sample(bg, i)).collect::<Vec<_>>());
+        let singles: Vec<Tensor> = (0..BATCH)
+            .map(|i| pack_batch(&[real_sample(bg, i)]).expect("one sample"))
+            .collect();
+        let packed = packed_batch(bg);
 
         let mut seq_gan = build_gan(bg, 7);
         let seq_ns = parallel::with_threads(1, || {
-            time_ns(|| {
+            time_ns(WINDOW, || {
                 for reals in &singles {
-                    black_box(seq_gan.train_step(black_box(reals)));
+                    black_box(seq_gan.train_step_batched(black_box(reals)).unwrap());
                 }
             })
         });
@@ -193,7 +175,7 @@ fn main() {
 
         let mut bat_gan = build_gan(bg, 7);
         let bat_ns = parallel::with_threads(1, || {
-            time_ns(|| {
+            time_ns(WINDOW, || {
                 black_box(bat_gan.train_step_batched(black_box(&packed)).unwrap());
             })
         });
@@ -214,12 +196,12 @@ fn main() {
 
     // ---- Strong scaling of the batched step at 1/2/8 workers. ----
     let bg = &BENCH_GANS[0];
-    let packed = pack_batch(&(0..BATCH).map(|i| real_sample(bg, i)).collect::<Vec<_>>());
+    let packed = packed_batch(bg);
     let mut scale_ns = Vec::new();
     for t in [1usize, 2, 8] {
         let mut gan = build_gan(bg, 9);
         let ns = parallel::with_threads(t, || {
-            time_ns(|| {
+            time_ns(WINDOW, || {
                 black_box(gan.train_step_batched(black_box(&packed)).unwrap());
             })
         });

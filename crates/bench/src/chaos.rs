@@ -38,7 +38,9 @@
 use lergan_core::{LinkChaos, RecoveryPolicy, SelfHealingRuntime, SystemFaults};
 use lergan_gan::Phase;
 use lergan_reram::{FaultMap, WearModel};
-use lergan_serve::job::{batch, batch_seed, job_trainer, poisson_workload, run_standalone, WorkloadSpec};
+use lergan_serve::job::{
+    batch, batch_packed, batch_seed, job_trainer, poisson_workload, run_standalone, WorkloadSpec,
+};
 use lergan_serve::{PlanCache, ServeConfig, ServeReport, ServeRuntime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -380,10 +382,15 @@ pub fn run_campaign(spec: &ChaosSpec, plans: &mut PlanCache) -> CampaignOutcome 
             // — so the twin replays exactly the completed steps.
             let mut twin = job_trainer(spec.seed);
             let mut twin_rng = StdRng::seed_from_u64(batch_seed(spec.seed));
-            for _ in 0..completed {
-                twin.train_step(&batch(&mut twin_rng));
-            }
-            if died.is_none() && drained.trainer.checkpoint() != twin.checkpoint() {
+            let twin_ran = (0..completed).try_for_each(|_| {
+                twin.train_step_batched(&batch_packed(&mut twin_rng)?).map(drop)
+            });
+            if let Err(e) = twin_ran {
+                violations.push(format!(
+                    "{}: never-faulted twin rejected a batch: {e}",
+                    spec.label
+                ));
+            } else if died.is_none() && drained.trainer.checkpoint() != twin.checkpoint() {
                 violations.push(format!(
                     "{}: healed run diverged from the never-faulted twin",
                     spec.label

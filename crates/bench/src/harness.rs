@@ -16,6 +16,40 @@
 
 use crate::table::TextTable;
 use std::fmt::Write as _;
+use std::time::{Duration, Instant};
+
+/// Nanoseconds per iteration of `f`: one warmup call, a calibration loop
+/// growing the iteration count until a run spans `window`, then two more
+/// windows at that count. Returns the *minimum* window mean — scheduler
+/// preemption and interrupt noise only ever inflate a window, so the min
+/// is the stable estimator (a single long window's mean absorbs every
+/// hiccup and jitters >10% on a busy 1-core host).
+pub fn time_ns(window: Duration, mut f: impl FnMut()) -> f64 {
+    f();
+    let window_ns = window.as_nanos() as f64;
+    let mut iters: u64 = 1;
+    let (mut best, iters) = loop {
+        let start = Instant::now();
+        for _ in 0..iters {
+            f();
+        }
+        let elapsed = start.elapsed();
+        let per = (elapsed.as_nanos() as f64 / iters as f64).max(1.0);
+        if elapsed >= window || iters >= 1_000_000 {
+            break (per, iters);
+        }
+        iters = ((window_ns / per).ceil() as u64).clamp(iters * 2, 1_000_000);
+    };
+    for _ in 0..2 {
+        let start = Instant::now();
+        for _ in 0..iters {
+            f();
+        }
+        let per = (start.elapsed().as_nanos() as f64 / iters as f64).max(1.0);
+        best = best.min(per);
+    }
+    best
+}
 
 /// A named headline value, e.g. an average with the paper's number quoted.
 #[derive(Debug, Clone)]

@@ -47,7 +47,7 @@
 use crate::fault::SystemFaults;
 use crate::lergan::{BuildError, LerGan, LerGanBuilder};
 use crate::link::{LinkError, ReliableFabric};
-use lergan_gan::train::{AutoCheckpoint, CheckpointError, Gan, StepStats};
+use lergan_gan::train::{pack_batch, AutoCheckpoint, CheckpointError, Gan, StepStats, TrainError};
 use lergan_gan::{GanSpec, Phase};
 use lergan_noc::{Endpoint, Mode, NocConfig, TransientFaults};
 use lergan_reram::{AbftBlock, ReramConfig, WearModel, WritePolicy};
@@ -126,6 +126,9 @@ pub enum RecoveryError {
     /// The link layer exhausted its retransmit and reroute budgets (or
     /// hard faults partitioned the monitored transfer's endpoints).
     Link(LinkError),
+    /// The trainer rejected the batch (empty, mixed sample shapes, or a
+    /// shape the stacks do not accept).
+    Train(TrainError),
 }
 
 impl fmt::Display for RecoveryError {
@@ -137,6 +140,7 @@ impl fmt::Display for RecoveryError {
             }
             RecoveryError::Checkpoint(e) => write!(f, "rollback restore failed: {e}"),
             RecoveryError::Link(e) => write!(f, "link recovery failed: {e}"),
+            RecoveryError::Train(e) => write!(f, "train step rejected the batch: {e}"),
         }
     }
 }
@@ -158,6 +162,12 @@ impl From<CheckpointError> for RecoveryError {
 impl From<LinkError> for RecoveryError {
     fn from(e: LinkError) -> Self {
         RecoveryError::Link(e)
+    }
+}
+
+impl From<TrainError> for RecoveryError {
+    fn from(e: TrainError) -> Self {
+        RecoveryError::Train(e)
     }
 }
 
@@ -304,7 +314,9 @@ pub struct SelfHealingRuntime {
     spec: GanSpec,
     trainer: Gan,
     cadence: AutoCheckpoint,
-    buffered: Vec<Vec<Tensor>>,
+    /// Packed batches trained since the last checkpoint, replayed on
+    /// rollback.
+    buffered: Vec<Tensor>,
     faults: SystemFaults,
     policy: RecoveryPolicy,
     wear: WearModel,
@@ -434,13 +446,20 @@ impl SelfHealingRuntime {
     /// One self-healed training step: checkpoint if due, train, charge
     /// compute + detection overhead, advance wear, run the checked MMV,
     /// and walk the recovery ladder if the residual flags.
+    ///
+    /// # Errors
+    ///
+    /// [`RecoveryError::Train`] when the trainer rejects `reals` — an
+    /// empty or mixed-shape batch is refused before anything changes —
+    /// and the ladder's own errors when recovery fails.
     pub fn step(&mut self, reals: &[Tensor]) -> Result<StepReport, RecoveryError> {
+        let packed = pack_batch(reals)?;
         if self.cadence.maybe_take(&self.trainer) {
             self.report.checkpoints_taken += 1;
             self.buffered.clear();
         }
-        self.buffered.push(reals.to_vec());
-        let stats = self.trainer.train_step(reals);
+        let stats = self.trainer.train_step_batched(&packed)?;
+        self.buffered.push(packed);
         self.report.compute_latency_ns += self.iteration_ns;
         self.report.detection_overhead_ns += self.detect_ns;
 
@@ -598,10 +617,11 @@ impl SelfHealingRuntime {
         let replay = std::mem::take(&mut self.buffered);
         self.report.replayed_steps += replay.len() as u64;
         self.report.recovery_latency_ns += self.iteration_ns * replay.len() as f64;
-        for batch in &replay {
-            self.trainer.train_step(batch);
-        }
+        let replayed = replay
+            .iter()
+            .try_for_each(|batch| self.trainer.train_step_batched(batch).map(drop));
         self.buffered = replay;
+        replayed?;
         self.report.rolled_back += 1;
         Ok(())
     }

@@ -8,10 +8,20 @@
 //! waiting geometrically forever), and bit-deterministic — the same policy
 //! must produce the same delay on every host and at every worker count,
 //! or the serve sweep's byte-determinism guarantee dies here.
+//!
+//! The runtime's input contract is pinned here too: a malformed batch is
+//! a typed [`lergan_core::RecoveryError::Train`], never a panic.
 
-use lergan_core::RecoveryPolicy;
+use lergan_core::{RecoveryError, RecoveryPolicy, SelfHealingRuntime, SystemFaults};
+use lergan_gan::benchmarks;
+use lergan_gan::topology::parse_network;
+use lergan_gan::train::{build_trainable_with, Gan, TrainError, UpdateRule};
+use lergan_reram::WearModel;
 use lergan_tensor::parallel::with_threads;
+use lergan_tensor::Tensor;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn policy(base: f64, cap: f64) -> RecoveryPolicy {
     RecoveryPolicy {
@@ -32,6 +42,61 @@ fn default_ladder_matches_the_historical_uncapped_delays() {
     // The fourth rung is the first capped one under the defaults.
     assert_eq!(p.backoff_ns(4).to_bits(), 1_600.0f64.to_bits());
     assert_eq!(p.backoff_ns(5).to_bits(), 1_600.0f64.to_bits());
+}
+
+/// The 16 px DCGAN-class trainer the recovery sweep wraps.
+fn small_trainer() -> Gan {
+    let g_spec = parse_network("g", "8f-(8t-4t)(3k2s)-t1", 2, 16).unwrap();
+    let d_spec = parse_network("d", "(1c-8c)(3k2s)-f1", 2, 16).unwrap();
+    let mut rng = StdRng::seed_from_u64(31);
+    let g = build_trainable_with(&g_spec, true, false, &mut rng);
+    let d = build_trainable_with(&d_spec, false, false, &mut rng);
+    Gan::new(g, d, 8, 0.0, 77).with_optimizer(UpdateRule::dcgan_adam(0.01))
+}
+
+#[test]
+fn malformed_batches_are_typed_errors_not_panics() {
+    let mut rt = SelfHealingRuntime::new(
+        &benchmarks::dcgan(),
+        small_trainer(),
+        SystemFaults::none(),
+        RecoveryPolicy::default(),
+        WearModel::disabled(),
+    )
+    .expect("runtime assembles");
+    let good = || vec![Tensor::filled(&[1, 16, 16], 0.5); 2];
+    rt.step(&good()).expect("a well-formed batch trains");
+    let before = rt.report().steps;
+
+    // 8 px images where the stacks expect 16 px.
+    let small = vec![Tensor::filled(&[1, 8, 8], 0.5); 2];
+    assert!(matches!(
+        rt.step(&small),
+        Err(RecoveryError::Train(TrainError::ShapeMismatch { .. }))
+    ));
+    // Mixed sample shapes and an empty batch.
+    let mixed = vec![
+        Tensor::filled(&[1, 16, 16], 0.5),
+        Tensor::filled(&[1, 8, 8], 0.5),
+    ];
+    assert!(matches!(
+        rt.step(&mixed),
+        Err(RecoveryError::Train(TrainError::ShapeMismatch {
+            layer: "pack_batch",
+            ..
+        }))
+    ));
+    assert!(matches!(
+        rt.step(&[]),
+        Err(RecoveryError::Train(TrainError::EmptyBatch))
+    ));
+    let err = rt.step(&[]).unwrap_err().to_string();
+    assert!(err.contains("at least one sample"), "{err}");
+
+    // Rejected batches count no step, and the runtime keeps training.
+    assert_eq!(rt.report().steps, before);
+    rt.step(&good())
+        .expect("the runtime survives rejected batches");
 }
 
 #[test]

@@ -14,19 +14,20 @@ use crate::ir::{GemmShape, OpId};
 use crate::layer::{Layer, Norm};
 use crate::phase::Phase;
 use crate::topology::NetworkSpec;
-use lergan_tensor::dconv::{dconv_input_grad_scatter, expand_dilated_kernel_into, im2col_dconv_into};
-use lergan_tensor::im2col::im2col_into;
-use lergan_tensor::kernel::{gemm_buf, gemm_nt_buf, mmv_buf};
+use lergan_tensor::kernel::{gemm_buf, gemm_nt_buf};
 use lergan_tensor::parallel;
 use lergan_tensor::zero_free::PhaseConv;
 use lergan_tensor::{Conv2d, DconvGeometry, SconvGeometry, TconvGeometry, Tensor, Workspace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A layer that can run forward, backward and SGD updates.
+/// A layer that can run forward, backward and SGD updates over a
+/// sample-major `[batch, ...]` tensor; a single sample is a batch of one.
 ///
-/// `forward` caches whatever `backward` needs; `backward` accumulates
-/// parameter gradients and returns the gradient w.r.t. the layer input.
+/// [`forward_batch`](TrainableLayer::forward_batch) caches whatever
+/// [`backward_batch`](TrainableLayer::backward_batch) needs; the backward
+/// pass accumulates parameter gradients and returns the gradient w.r.t.
+/// the layer input.
 ///
 /// Every method draws its scratch and result buffers from the caller's
 /// [`Workspace`]: returned tensors are built on pooled buffers, and the
@@ -34,12 +35,6 @@ use rand::{Rng, SeedableRng};
 /// [`Sequential::recycle`]). With that discipline, a steady-state training
 /// step performs no heap allocation.
 pub trait TrainableLayer {
-    /// Forward pass for a single sample, caching activations. The returned
-    /// tensor's buffer is drawn from `ws`.
-    fn forward(&mut self, input: &Tensor, ws: &mut Workspace) -> Tensor;
-    /// Backward pass; accumulates parameter gradients and returns `∇input`
-    /// (buffer drawn from `ws`).
-    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor;
     /// Applies accumulated gradients through `rule` (with `step` counting
     /// optimiser steps, for Adam's bias correction) and clears them. `ws`
     /// serves the optimiser's element-wise temporaries.
@@ -80,62 +75,55 @@ pub trait TrainableLayer {
         None
     }
 
-    /// Batched forward over a sample-major `[batch, ...]` input: one packed
-    /// pass instead of `batch` single-sample calls. Each sample's slice of
-    /// the output is bit-identical to [`forward`](TrainableLayer::forward)
-    /// on that sample; GEMM layers fuse the batch into one product with `m`
-    /// multiplied by `batch`. Caches are kept separately from the
-    /// single-sample path, so the two can interleave without thrashing.
+    /// Forward over a sample-major `[batch, ...]` input, caching what the
+    /// backward pass needs; the returned tensor's buffer is drawn from `ws`.
+    /// GEMM layers fuse the batch into one product with `m` multiplied by
+    /// `batch`, and each sample's slice of the output is bit-identical to
+    /// a `batch = 1` call on that sample.
     fn forward_batch(
         &mut self,
         input: &Tensor,
         batch: usize,
         ws: &mut Workspace,
-    ) -> Result<Tensor, TrainError> {
-        let _ = (input, batch, ws);
-        Err(TrainError::Unsupported {
-            layer: "TrainableLayer",
-        })
-    }
+    ) -> Result<Tensor, TrainError>;
 
-    /// Batched backward: accumulates parameter gradients as the fixed-tree
-    /// reduction ([`tree_reduce_in_place`]) of exact per-sample partials —
-    /// an order that depends only on `batch`, never on the worker count —
-    /// and returns the `[batch, ...]` input gradient, each sample's slice
-    /// bit-identical to [`backward`](TrainableLayer::backward).
+    /// Backward over the last forward's batch: accumulates parameter
+    /// gradients as the fixed-tree reduction ([`tree_reduce_in_place`]) of
+    /// exact per-sample partials — an order that depends only on `batch`,
+    /// never on the worker count — and returns the `[batch, ...]` input
+    /// gradient (buffer drawn from `ws`), each sample's slice bit-identical
+    /// to a `batch = 1` call on that sample.
     fn backward_batch(
         &mut self,
         grad_out: &Tensor,
         batch: usize,
         ws: &mut Workspace,
     ) -> Result<Tensor, TrainError> {
-        let _ = (grad_out, batch, ws);
-        Err(TrainError::Unsupported {
-            layer: "TrainableLayer",
-        })
+        self.backward_batch_needs(grad_out, batch, ws, BackwardNeeds::ALL)?
+            .ok_or(TrainError::Unsupported {
+                layer: "backward_batch_needs",
+            })
     }
 
     /// [`backward_batch`](TrainableLayer::backward_batch) restricted to
     /// `needs`: the parameter gradients are accumulated only when
     /// `needs.param_grads`, and `Ok(None)` stands in for `∇input` when
     /// `needs.input_grad` is false. Whatever is produced is bit-identical
-    /// to the full pass. The default ignores `needs` and runs the full
-    /// pass, which is always a valid answer.
+    /// to the full pass. A layer may ignore `needs` and run the full pass,
+    /// which is always a valid answer; the parameter-free layers and
+    /// [`BatchNorm`] do.
     fn backward_batch_needs(
         &mut self,
         grad_out: &Tensor,
         batch: usize,
         ws: &mut Workspace,
         needs: BackwardNeeds,
-    ) -> Result<Option<Tensor>, TrainError> {
-        let _ = needs;
-        self.backward_batch(grad_out, batch, ws).map(Some)
-    }
+    ) -> Result<Option<Tensor>, TrainError>;
 
     /// Snapshots the accumulated parameter gradients ("grad", or
     /// "grad_gamma"/"grad_beta" for affine norms). Stateless layers return
-    /// an empty state. This is the probe bit-identity oracles use to
-    /// compare batched gradient accumulation against per-sample runs.
+    /// an empty state. This is the probe the bit-identity tests use to
+    /// compare a batch's gradients against its folded `batch = 1` runs.
     fn capture_grads(&self) -> LayerState {
         LayerState::empty()
     }
@@ -310,12 +298,10 @@ impl std::error::Error for CheckpointError {}
 
 /// Typed error for malformed trainer inputs.
 ///
-/// The batched training path ([`TrainableLayer::forward_batch`],
-/// [`Sequential::forward_batch`], [`Gan::train_step_batched`]) surfaces
-/// every shape violation as one of these variants instead of panicking;
-/// the legacy single-sample methods keep their panicking contracts but
-/// route the same checks through this type, so both paths report
-/// identically worded diagnostics.
+/// The training path ([`TrainableLayer::forward_batch`],
+/// [`Sequential::forward_batch`], [`Gan::train_step_batched`],
+/// [`pack_batch`]) surfaces every shape violation as one of these variants
+/// instead of panicking.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TrainError {
     /// An input tensor's rank differs from what the layer expects.
@@ -336,7 +322,7 @@ pub enum TrainError {
         /// Shape received.
         actual: Vec<usize>,
     },
-    /// [`Gan::train_step_batched`] was handed an empty batch.
+    /// A batch with no samples.
     EmptyBatch,
     /// A batched backward pass ran without a preceding batched forward.
     BackwardBeforeForward {
@@ -375,14 +361,6 @@ impl std::fmt::Display for TrainError {
 }
 
 impl std::error::Error for TrainError {}
-
-/// Panics with the error's message when a legacy (panicking-contract)
-/// entry point hits a check shared with the batched `Result` path.
-fn check(result: Result<(), TrainError>) {
-    if let Err(e) = result {
-        panic!("{e}");
-    }
-}
 
 /// `shape` must have exactly `expected` axes.
 fn expect_rank(layer: &'static str, expected: usize, shape: &[usize]) -> Result<(), TrainError> {
@@ -582,21 +560,6 @@ impl Lowered {
             .then(|| self.input_grad(grad_out, batch, weights, ws)))
     }
 
-    /// The full backward: both gradients.
-    fn backward_all(
-        &self,
-        layer: &'static str,
-        grad_out: &Tensor,
-        batch: usize,
-        weights: &Tensor,
-        grad: &mut Tensor,
-        ws: &mut Workspace,
-    ) -> Result<Tensor, TrainError> {
-        self.check(layer, grad_out, batch)?;
-        self.weight_grad(grad_out, batch, grad, ws);
-        Ok(self.input_grad(grad_out, batch, weights, ws))
-    }
-
     /// `∇W`: per-sample partials folded by the fixed tree, added to `grad`.
     fn weight_grad(&self, grad_out: &Tensor, batch: usize, grad: &mut Tensor, ws: &mut Workspace) {
         let wlen = self.fwd.weight_len();
@@ -768,13 +731,10 @@ impl OptState {
 pub struct DenseLayer {
     weights: Tensor, // [out, in]
     grad: Tensor,
+    /// Input cache `[batch, in]` of the last forward.
     cached_input: Option<Tensor>,
+    /// Per-sample input shape from the last forward.
     cached_shape: Vec<usize>,
-    /// Batched input cache `[batch, in]` (kept apart from the
-    /// single-sample cache so the two paths can interleave).
-    cached_input_b: Option<Tensor>,
-    /// Per-sample input shape from the last batched forward.
-    cached_shape_b: Vec<usize>,
     opt: OptState,
 }
 
@@ -786,8 +746,6 @@ impl DenseLayer {
             grad: Tensor::zeros(&[out_units, in_units]),
             cached_input: None,
             cached_shape: Vec::new(),
-            cached_input_b: None,
-            cached_shape_b: Vec::new(),
             opt: OptState::default(),
         }
     }
@@ -799,9 +757,9 @@ impl DenseLayer {
 
     /// The batched backward needs a batched forward of the same batch and
     /// a `[batch, out]` gradient.
-    fn check_grad_b(&self, grad_out: &Tensor, batch: usize) -> Result<(), TrainError> {
+    fn check_grad(&self, grad_out: &Tensor, batch: usize) -> Result<(), TrainError> {
         let input = self
-            .cached_input_b
+            .cached_input
             .as_ref()
             .ok_or(TrainError::BackwardBeforeForward {
                 layer: "DenseLayer",
@@ -823,8 +781,8 @@ impl DenseLayer {
     }
 
     /// ∇W: exact per-sample outer products, folded by the fixed tree.
-    fn weight_grad_b(&mut self, grad_out: &Tensor, batch: usize, ws: &mut Workspace) {
-        let input = self.cached_input_b.as_ref().expect("checked by check_grad_b");
+    fn weight_grad(&mut self, grad_out: &Tensor, batch: usize, ws: &mut Workspace) {
+        let input = self.cached_input.as_ref().expect("checked by check_grad");
         let (o, i) = (self.weights.shape()[0], self.weights.shape()[1]);
         let wlen = o * i;
         let mut parts = ws.take(batch * wlen);
@@ -832,7 +790,7 @@ impl DenseLayer {
             let pp = SlicePtr::new(&mut parts);
             let gd = grad_out.data();
             let xd = input.data();
-            parallel::for_each_range(batch, 1, |range| {
+            parallel::for_each_range(batch, parallel::min_units(wlen), |range| {
                 for b in range {
                     // SAFETY: sample-disjoint windows of `parts`.
                     let part = unsafe { pp.slice(b * wlen, wlen) };
@@ -851,51 +809,18 @@ impl DenseLayer {
         ws.give(parts);
     }
 
-    /// ∇input: one packed GEMM, k (= output unit) ascending from 0.0 — the
-    /// single-sample accumulation chain.
-    fn input_grad_b(&self, grad_out: &Tensor, batch: usize, ws: &mut Workspace) -> Tensor {
+    /// ∇input: one packed GEMM, k (= output unit) ascending from 0.0 per
+    /// row, so each sample's row is independent of the batch.
+    fn input_grad(&self, grad_out: &Tensor, batch: usize, ws: &mut Workspace) -> Tensor {
         let (o, i) = (self.weights.shape()[0], self.weights.shape()[1]);
         let mut din = ws.take(batch * i);
         gemm_buf(batch, o, i, grad_out.data(), self.weights.data(), &mut din);
-        let (shape, rank) = batched_shape(batch, &self.cached_shape_b);
+        let (shape, rank) = batched_shape(batch, &self.cached_shape);
         Tensor::from_vec(&shape[..rank], din)
     }
 }
 
 impl TrainableLayer for DenseLayer {
-    fn forward(&mut self, input: &Tensor, ws: &mut Workspace) -> Tensor {
-        self.cached_shape.clear();
-        self.cached_shape.extend_from_slice(input.shape());
-        let cache = cache_buf(&mut self.cached_input, &[input.len()]);
-        cache.data_mut().copy_from_slice(input.data());
-        let (o, i) = (self.weights.shape()[0], self.weights.shape()[1]);
-        let mut out = ws.take(o);
-        mmv_buf(o, i, self.weights.data(), input.data(), &mut out);
-        Tensor::from_vec(&[o], out)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
-        let input = self.cached_input.as_ref().expect("backward before forward");
-        let (o, i) = (self.weights.shape()[0], self.weights.shape()[1]);
-        check(expect_dim("DenseLayer", o, grad_out.len()));
-        for oi in 0..o {
-            let g = grad_out.data()[oi];
-            let grow = &mut self.grad.data_mut()[oi * i..(oi + 1) * i];
-            for (slot, &x) in grow.iter_mut().zip(input.data()) {
-                *slot += g * x;
-            }
-        }
-        let mut din = ws.take_zeroed(i);
-        for oi in 0..o {
-            let g = grad_out.data()[oi];
-            let row = &self.weights.data()[oi * i..(oi + 1) * i];
-            for (d, &w) in din.iter_mut().zip(row.iter()) {
-                *d += g * w;
-            }
-        }
-        Tensor::from_vec(&self.cached_shape, din)
-    }
-
     fn apply_update(&mut self, rule: &UpdateRule, step: u64, ws: &mut Workspace) {
         self.opt.apply(rule, step, &mut self.weights, &self.grad, ws);
         self.zero_grads();
@@ -919,8 +844,6 @@ impl TrainableLayer for DenseLayer {
         self.grad.fill(0.0);
         self.cached_input = None;
         self.cached_shape.clear();
-        self.cached_input_b = None;
-        self.cached_shape_b.clear();
         Ok(())
     }
 
@@ -949,26 +872,15 @@ impl TrainableLayer for DenseLayer {
                 actual: input.shape().to_vec(),
             });
         }
-        self.cached_shape_b.clear();
-        self.cached_shape_b.extend_from_slice(&input.shape()[1..]);
-        let cache = cache_buf(&mut self.cached_input_b, &[batch, i]);
+        self.cached_shape.clear();
+        self.cached_shape.extend_from_slice(&input.shape()[1..]);
+        let cache = cache_buf(&mut self.cached_input, &[batch, i]);
         cache.data_mut().copy_from_slice(input.data());
         // One packed GEMM with m = batch: row b reduces k ascending from
-        // 0.0, exactly the single-sample `mmv_buf` chain for sample b.
+        // 0.0, so each sample's row is independent of the batch.
         let mut out = ws.take(batch * o);
         gemm_nt_buf(batch, i, o, input.data(), self.weights.data(), &mut out);
         Ok(Tensor::from_vec(&[batch, o], out))
-    }
-
-    fn backward_batch(
-        &mut self,
-        grad_out: &Tensor,
-        batch: usize,
-        ws: &mut Workspace,
-    ) -> Result<Tensor, TrainError> {
-        self.check_grad_b(grad_out, batch)?;
-        self.weight_grad_b(grad_out, batch, ws);
-        Ok(self.input_grad_b(grad_out, batch, ws))
     }
 
     fn backward_batch_needs(
@@ -978,13 +890,13 @@ impl TrainableLayer for DenseLayer {
         ws: &mut Workspace,
         needs: BackwardNeeds,
     ) -> Result<Option<Tensor>, TrainError> {
-        self.check_grad_b(grad_out, batch)?;
+        self.check_grad(grad_out, batch)?;
         if needs.param_grads {
-            self.weight_grad_b(grad_out, batch, ws);
+            self.weight_grad(grad_out, batch, ws);
         }
         Ok(needs
             .input_grad
-            .then(|| self.input_grad_b(grad_out, batch, ws)))
+            .then(|| self.input_grad(grad_out, batch, ws)))
     }
 
     fn capture_grads(&self) -> LayerState {
@@ -1003,11 +915,7 @@ pub struct ConvTrainLayer {
     declared: Option<SconvGeometry>,
     weights: Tensor, // [oc, ic, k, k]
     grad: Tensor,
-    /// im2col matrix `[IC·K·K, O·O]` of the last forward input, reused by
-    /// the backward weight-gradient GEMM.
-    cached_cols: Option<Tensor>,
-    cached_extent: usize,
-    /// The batched path, built on the first batched forward (the input
+    /// The lowered convolution, built on the first forward (the input
     /// extent fixes the plans) and rebuilt only if the extent changes.
     lowered: Option<Lowered>,
     opt: OptState,
@@ -1030,8 +938,6 @@ impl ConvTrainLayer {
             declared: None,
             weights: he_init(rng, &shape, in_channels * kernel * kernel),
             grad: Tensor::zeros(&shape),
-            cached_cols: None,
-            cached_extent: 0,
             lowered: None,
             opt: OptState::default(),
         })
@@ -1059,45 +965,6 @@ impl ConvTrainLayer {
 }
 
 impl TrainableLayer for ConvTrainLayer {
-    fn forward(&mut self, input: &Tensor, ws: &mut Workspace) -> Tensor {
-        let extent = input.shape()[1];
-        self.cached_extent = extent;
-        let geom = self.op.geometry(extent);
-        let (oc, ic, k) = (
-            self.weights.shape()[0],
-            self.weights.shape()[1],
-            self.weights.shape()[2],
-        );
-        check(expect_dim("ConvTrainLayer", ic, input.shape()[0]));
-        let (red, oo) = (ic * k * k, geom.output * geom.output);
-        // im2col + GEMM realisation of the loop-nest `Conv2d::forward`:
-        // both accumulate (ci, ky, kx) ascending per output element, so
-        // the results are bit-identical and the GEMM runs on the packed
-        // kernel. The `[OC, IC·K·K]` weight matrix is the kernels tensor's
-        // own row-major layout, so no reshape copy is made.
-        let cols = cache_buf(&mut self.cached_cols, &[red, oo]);
-        im2col_into(input, &geom, cols.data_mut());
-        let mut out = ws.take(oc * oo);
-        gemm_buf(oc, red, oo, self.weights.data(), cols.data(), &mut out);
-        Tensor::from_vec(&[oc, geom.output, geom.output], out)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
-        let cols = self.cached_cols.as_ref().expect("backward before forward");
-        let (red, oo) = (cols.shape()[0], cols.shape()[1]);
-        let oc = self.weights.shape()[0];
-        assert_eq!(grad_out.len(), oc * oo, "∇output shape mismatch");
-        // D-w path, the W-CONV of Fig. 6: every weight tap's gradient is a
-        // dot product of ∇output with the matching im2col row — one GEMM
-        // against the transposed column matrix cached by `forward`.
-        let mut dw = ws.take(oc * red);
-        gemm_nt_buf(oc, oo, red, grad_out.data(), cols.data(), &mut dw);
-        self.grad.axpy_slice_in_place(1.0, &dw);
-        ws.give(dw);
-        self.op
-            .input_grad_with(grad_out, &self.weights, self.cached_extent, ws)
-    }
-
     fn apply_update(&mut self, rule: &UpdateRule, step: u64, ws: &mut Workspace) {
         self.opt.apply(rule, step, &mut self.weights, &self.grad, ws);
         self.zero_grads();
@@ -1119,8 +986,6 @@ impl TrainableLayer for ConvTrainLayer {
         self.opt
             .restore_from("opt", state, layer, self.weights.shape())?;
         self.grad.fill(0.0);
-        self.cached_cols = None;
-        self.cached_extent = 0;
         self.lowered = None;
         Ok(())
     }
@@ -1172,21 +1037,6 @@ impl TrainableLayer for ConvTrainLayer {
         Ok(lowered.forward(input, batch, &self.weights, ws))
     }
 
-    fn backward_batch(
-        &mut self,
-        grad_out: &Tensor,
-        batch: usize,
-        ws: &mut Workspace,
-    ) -> Result<Tensor, TrainError> {
-        let lowered = self
-            .lowered
-            .as_ref()
-            .ok_or(TrainError::BackwardBeforeForward {
-                layer: "ConvTrainLayer",
-            })?;
-        lowered.backward_all("ConvTrainLayer", grad_out, batch, &self.weights, &mut self.grad, ws)
-    }
-
     fn backward_batch_needs(
         &mut self,
         grad_out: &Tensor,
@@ -1222,15 +1072,9 @@ impl TrainableLayer for ConvTrainLayer {
 #[derive(Debug)]
 pub struct TconvTrainLayer {
     geometry: TconvGeometry,
-    inner: Conv2d, // stride-1 conv over the expanded input
     weights: Tensor,
     grad: Tensor,
-    /// im2col matrix `[IC·K·K, O·O]` of the zero-inserted input from the
-    /// last forward, reused by the backward weight-gradient GEMM.
-    cached_cols: Option<Tensor>,
-    /// Extent of the zero-inserted plane from the last forward.
-    cached_extent: usize,
-    /// The batched path: zero-free, one GEMM per phase class.
+    /// The zero-free lowering: one GEMM per phase class.
     lowered: Lowered,
     opt: OptState,
 }
@@ -1244,15 +1088,11 @@ impl TconvTrainLayer {
         rng: &mut StdRng,
     ) -> Self {
         let k = geometry.kernel;
-        let inner = Conv2d::new(in_channels, out_channels, k, 1, 0).expect("validated geometry");
         let shape = [out_channels, in_channels, k, k];
         TconvTrainLayer {
             geometry,
-            inner,
             weights: he_init(rng, &shape, in_channels * k * k),
             grad: Tensor::zeros(&shape),
-            cached_cols: None,
-            cached_extent: 0,
             lowered: Lowered::new(
                 PhaseConv::tconv(in_channels, out_channels, &geometry),
                 PhaseConv::tconv_input_grad(in_channels, out_channels, &geometry),
@@ -1263,75 +1103,6 @@ impl TconvTrainLayer {
 }
 
 impl TrainableLayer for TconvTrainLayer {
-    fn forward(&mut self, input: &Tensor, ws: &mut Workspace) -> Tensor {
-        // The zero-insertion realisation of Fig. 4 (the zero-free
-        // equivalence is proven against it in lergan-core), executed as a
-        // stride-1 im2col + GEMM over the expanded input — bit-identical
-        // to `tconv_forward_zero_insert`.
-        let g = self.geometry;
-        let ic = input.shape()[0];
-        assert_eq!(input.shape()[1], g.input, "input height mismatch");
-        assert_eq!(input.shape()[2], g.input, "input width mismatch");
-        let e = g.expanded();
-        let (p, s) = (g.insertion_pad, g.converse_stride);
-        // Scatter the input into the zero-inserted plane (pooled scratch).
-        let mut exp = ws.take_zeroed(ic * e * e);
-        for ci in 0..ic {
-            for y in 0..g.input {
-                let src = &input.data()[ci * g.input * g.input + y * g.input..][..g.input];
-                let dst = &mut exp[ci * e * e + (p + y * s) * e + p..];
-                for (x, &v) in src.iter().enumerate() {
-                    dst[x * s] = v;
-                }
-            }
-        }
-        let expanded = Tensor::from_vec(&[ic, e, e], exp);
-        let geom = SconvGeometry::new(e, g.kernel, 1, 0).expect("validated geometry");
-        let oc = self.weights.shape()[0];
-        let (red, oo) = (ic * g.kernel * g.kernel, geom.output * geom.output);
-        let cols = cache_buf(&mut self.cached_cols, &[red, oo]);
-        im2col_into(&expanded, &geom, cols.data_mut());
-        ws.give_tensor(expanded);
-        self.cached_extent = e;
-        let mut out = ws.take(oc * oo);
-        gemm_buf(oc, red, oo, self.weights.data(), cols.data(), &mut out);
-        Tensor::from_vec(&[oc, geom.output, geom.output], out)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
-        let cols = self.cached_cols.as_ref().expect("backward before forward");
-        let (red, oo) = (cols.shape()[0], cols.shape()[1]);
-        let oc = self.weights.shape()[0];
-        assert_eq!(grad_out.len(), oc * oo, "∇output shape mismatch");
-        // G-w: ∇z scans the zero-inserted input — one GEMM against the
-        // column matrix cached by `forward`.
-        let mut dw = ws.take(oc * red);
-        gemm_nt_buf(oc, oo, red, grad_out.data(), cols.data(), &mut dw);
-        self.grad.axpy_slice_in_place(1.0, &dw);
-        ws.give(dw);
-        // G←: dense S-CONV back through the expansion, then gather.
-        let d_expanded = self
-            .inner
-            .input_grad_with(grad_out, &self.weights, self.cached_extent, ws);
-        let g = self.geometry;
-        let ic = self.weights.shape()[1];
-        let e = self.cached_extent;
-        let (p, s) = (g.insertion_pad, g.converse_stride);
-        let mut din = ws.take(ic * g.input * g.input);
-        let dex = d_expanded.data();
-        for ci in 0..ic {
-            for y in 0..g.input {
-                let src = &dex[ci * e * e + (p + y * s) * e + p..];
-                let dst = &mut din[ci * g.input * g.input + y * g.input..][..g.input];
-                for (x, slot) in dst.iter_mut().enumerate() {
-                    *slot = src[x * s];
-                }
-            }
-        }
-        ws.give_tensor(d_expanded);
-        Tensor::from_vec(&[ic, g.input, g.input], din)
-    }
-
     fn apply_update(&mut self, rule: &UpdateRule, step: u64, ws: &mut Workspace) {
         self.opt.apply(rule, step, &mut self.weights, &self.grad, ws);
         self.zero_grads();
@@ -1353,8 +1124,6 @@ impl TrainableLayer for TconvTrainLayer {
         self.opt
             .restore_from("opt", state, layer, self.weights.shape())?;
         self.grad.fill(0.0);
-        self.cached_cols = None;
-        self.cached_extent = 0;
         self.lowered.batch = 0;
         Ok(())
     }
@@ -1392,16 +1161,6 @@ impl TrainableLayer for TconvTrainLayer {
         Ok(self.lowered.forward(input, batch, &self.weights, ws))
     }
 
-    fn backward_batch(
-        &mut self,
-        grad_out: &Tensor,
-        batch: usize,
-        ws: &mut Workspace,
-    ) -> Result<Tensor, TrainError> {
-        self.lowered
-            .backward_all("TconvTrainLayer", grad_out, batch, &self.weights, &mut self.grad, ws)
-    }
-
     fn backward_batch_needs(
         &mut self,
         grad_out: &Tensor,
@@ -1429,28 +1188,15 @@ impl TrainableLayer for TconvTrainLayer {
 
 /// Dilated / asymmetric convolution trainable layer (D-CONV).
 ///
-/// The batched path is zero-free: the forward and the weight gradient
-/// gather only the `Kh·Kw` true taps, and the input gradient — T-CONV
-/// dataflow over the dilated kernel — runs one GEMM per phase class (see
-/// [`lergan_tensor::zero_free`]). The single-sample path keeps the
-/// *zero-insertion* formulation as its oracle: the effective-extent kernel
-/// is materialised with `D − 1` zeros between taps and driven through a
-/// dense im2col + GEMM — exactly the workload the analytics count as
-/// `macs_dense`, and the dual of [`TconvTrainLayer`]'s expanded input —
-/// with the true taps gathered out of the dense weight gradient and the
-/// input gradient scattered through them directly.
+/// Zero-free: the forward and the weight gradient gather only the `Kh·Kw`
+/// true taps, and the input gradient — T-CONV dataflow over the dilated
+/// kernel — runs one GEMM per phase class (see
+/// [`lergan_tensor::zero_free`]).
 #[derive(Debug)]
 pub struct DconvTrainLayer {
     geometry: DconvGeometry,
     weights: Tensor, // [oc, ic, Kh, Kw] — true taps only
     grad: Tensor,
-    /// Zero-inserted kernel `[OC, IC, Kh_eff, Kw_eff]` of the single-sample
-    /// path, rebuilt each forward (the taps move as the weights update).
-    expanded: Option<Tensor>,
-    /// im2col matrix `[IC·Kh_eff·Kw_eff, Oh·Ow]` of the last forward
-    /// input, reused by the backward weight-gradient GEMM.
-    cached_cols: Option<Tensor>,
-    /// The batched path.
     lowered: Lowered,
     opt: OptState,
 }
@@ -1469,8 +1215,6 @@ impl DconvTrainLayer {
             geometry,
             weights: he_init(rng, &shape, in_channels * kh * kw),
             grad: Tensor::zeros(&shape),
-            expanded: None,
-            cached_cols: None,
             lowered: Lowered::new(
                 PhaseConv::dconv(in_channels, out_channels, &geometry),
                 PhaseConv::dconv_input_grad(in_channels, out_channels, &geometry),
@@ -1481,54 +1225,6 @@ impl DconvTrainLayer {
 }
 
 impl TrainableLayer for DconvTrainLayer {
-    fn forward(&mut self, input: &Tensor, ws: &mut Workspace) -> Tensor {
-        let g = self.geometry;
-        let (oc, ic) = (self.weights.shape()[0], self.weights.shape()[1]);
-        assert_eq!(input.shape()[0], ic, "input channel mismatch");
-        let (eh, ew) = (g.rows.effective_kernel(), g.cols.effective_kernel());
-        let (oh, ow) = (g.rows.output, g.cols.output);
-        let (red, oo) = (ic * eh * ew, oh * ow);
-        let expanded = cache_buf(&mut self.expanded, &[oc, ic, eh, ew]);
-        expand_dilated_kernel_into(&self.weights, &g, expanded.data_mut());
-        let cols = cache_buf(&mut self.cached_cols, &[red, oo]);
-        im2col_dconv_into(input, &g, cols.data_mut());
-        let mut out = ws.take(oc * oo);
-        gemm_buf(oc, red, oo, expanded.data(), cols.data(), &mut out);
-        Tensor::from_vec(&[oc, oh, ow], out)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
-        let g = self.geometry;
-        let cols = self.cached_cols.as_ref().expect("backward before forward");
-        let (red, oo) = (cols.shape()[0], cols.shape()[1]);
-        let (oc, ic) = (self.weights.shape()[0], self.weights.shape()[1]);
-        assert_eq!(grad_out.len(), oc * oo, "∇output shape mismatch");
-        let (kh, kw) = (g.rows.kernel, g.cols.kernel);
-        let (eh, ew) = (g.rows.effective_kernel(), g.cols.effective_kernel());
-        let (dil_h, dil_w) = (g.rows.dilation, g.cols.dilation);
-        // ∇W over the expanded layout — one GEMM against the cached
-        // column matrix — then gather the true taps at their dilation
-        // multiples. Off-tap slots are gradients of structural zeros.
-        let mut dwbuf = ws.take(oc * red);
-        gemm_nt_buf(oc, oo, red, grad_out.data(), cols.data(), &mut dwbuf);
-        let gd = self.grad.data_mut();
-        for p in 0..oc * ic {
-            let src = &dwbuf[p * eh * ew..(p + 1) * eh * ew];
-            let dst = &mut gd[p * kh * kw..(p + 1) * kh * kw];
-            for jy in 0..kh {
-                for jx in 0..kw {
-                    dst[jy * kw + jx] += src[jy * dil_h * ew + jx * dil_w];
-                }
-            }
-        }
-        ws.give(dwbuf);
-        // ∇input: zero-free scatter through the true taps only.
-        let (h, w) = (g.rows.input, g.cols.input);
-        let mut din = ws.take_zeroed(ic * h * w);
-        dconv_input_grad_scatter(grad_out.data(), &self.weights, &g, &mut din);
-        Tensor::from_vec(&[ic, h, w], din)
-    }
-
     fn apply_update(&mut self, rule: &UpdateRule, step: u64, ws: &mut Workspace) {
         self.opt.apply(rule, step, &mut self.weights, &self.grad, ws);
         self.zero_grads();
@@ -1550,8 +1246,6 @@ impl TrainableLayer for DconvTrainLayer {
         self.opt
             .restore_from("opt", state, layer, self.weights.shape())?;
         self.grad.fill(0.0);
-        self.expanded = None;
-        self.cached_cols = None;
         self.lowered.batch = 0;
         Ok(())
     }
@@ -1590,16 +1284,6 @@ impl TrainableLayer for DconvTrainLayer {
         Ok(self.lowered.forward(input, batch, &self.weights, ws))
     }
 
-    fn backward_batch(
-        &mut self,
-        grad_out: &Tensor,
-        batch: usize,
-        ws: &mut Workspace,
-    ) -> Result<Tensor, TrainError> {
-        self.lowered
-            .backward_all("DconvTrainLayer", grad_out, batch, &self.weights, &mut self.grad, ws)
-    }
-
     fn backward_batch_needs(
         &mut self,
         grad_out: &Tensor,
@@ -1625,13 +1309,13 @@ impl TrainableLayer for DconvTrainLayer {
     }
 }
 
-/// Per-channel batch normalisation (DCGAN applies it after every
-/// conv/T-CONV except the output layers).
+/// Per-channel normalisation (DCGAN applies it after every conv/T-CONV
+/// except the output layers).
 ///
-/// This single-sample variant normalises over each channel's spatial
-/// plane with running statistics for inference, and learns an affine
-/// (γ, β) per channel — the standard formulation restricted to the
-/// sample-at-a-time training loop this crate uses.
+/// Each sample is normalised over each channel's spatial plane on its
+/// own — the statistics never mix samples, so a batch's outputs equal its
+/// samples' `batch = 1` outputs — with running statistics for inference
+/// and a learned affine (γ, β) per channel.
 #[derive(Debug)]
 pub struct BatchNorm {
     gamma: Tensor, // [C]
@@ -1644,14 +1328,11 @@ pub struct BatchNorm {
     momentum: f32,
     running_mean: Vec<f32>,
     running_var: Vec<f32>,
-    // caches
+    /// Normalized cache `[batch, C, H, W]`.
     normalized: Option<Tensor>,
-    inv_std: Vec<f32>,
-    /// Batched normalized cache `[batch, C, H, W]`.
-    normalized_b: Option<Tensor>,
     /// Per-sample per-channel `[mean, var, inv_std]` triples from the last
-    /// batched forward, laid out `(b·C + c)·3`.
-    stats_b: Vec<f32>,
+    /// forward, laid out `(b·C + c)·3`.
+    stats: Vec<f32>,
 }
 
 impl BatchNorm {
@@ -1669,9 +1350,7 @@ impl BatchNorm {
             running_mean: vec![0.0; channels],
             running_var: vec![1.0; channels],
             normalized: None,
-            inv_std: vec![0.0; channels],
-            normalized_b: None,
-            stats_b: Vec::new(),
+            stats: Vec::new(),
         }
     }
 
@@ -1682,78 +1361,6 @@ impl BatchNorm {
 }
 
 impl TrainableLayer for BatchNorm {
-    fn forward(&mut self, input: &Tensor, ws: &mut Workspace) -> Tensor {
-        check(expect_rank("BatchNorm", 3, input.shape()));
-        let (c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
-        check(expect_dim("BatchNorm", self.gamma.len(), c));
-        let plane = h * w;
-        let n = plane as f32;
-        let mut out = ws.take(c * plane);
-        let normalized = cache_buf(&mut self.normalized, &[c, h, w]);
-        let ndata = normalized.data_mut();
-        for ci in 0..c {
-            let ip = &input.data()[ci * plane..(ci + 1) * plane];
-            let mut mean = 0.0;
-            for &v in ip {
-                mean += v;
-            }
-            mean /= n;
-            let mut var = 0.0;
-            for &v in ip {
-                let d = v - mean;
-                var += d * d;
-            }
-            var /= n;
-            let inv_std = 1.0 / (var + self.eps).sqrt();
-            self.inv_std[ci] = inv_std;
-            self.running_mean[ci] =
-                (1.0 - self.momentum) * self.running_mean[ci] + self.momentum * mean;
-            self.running_var[ci] =
-                (1.0 - self.momentum) * self.running_var[ci] + self.momentum * var;
-            let (g, b) = (self.gamma.data()[ci], self.beta.data()[ci]);
-            let np = &mut ndata[ci * plane..(ci + 1) * plane];
-            let op = &mut out[ci * plane..(ci + 1) * plane];
-            for ((nslot, oslot), &v) in np.iter_mut().zip(op.iter_mut()).zip(ip) {
-                let norm = (v - mean) * inv_std;
-                *nslot = norm;
-                *oslot = g * norm + b;
-            }
-        }
-        Tensor::from_vec(&[c, h, w], out)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
-        let normalized = self.normalized.as_ref().expect("backward before forward");
-        let (c, h, w) = (
-            normalized.shape()[0],
-            normalized.shape()[1],
-            normalized.shape()[2],
-        );
-        assert_eq!(grad_out.shape(), normalized.shape(), "gradient mismatch");
-        let plane = h * w;
-        let n = plane as f32;
-        let mut din = ws.take(c * plane);
-        for ci in 0..c {
-            let gp = &grad_out.data()[ci * plane..(ci + 1) * plane];
-            let np = &normalized.data()[ci * plane..(ci + 1) * plane];
-            let mut sum_dy = 0.0;
-            let mut sum_dy_norm = 0.0;
-            for (&dy, &norm) in gp.iter().zip(np) {
-                sum_dy += dy;
-                sum_dy_norm += dy * norm;
-            }
-            self.grad_beta.data_mut()[ci] += sum_dy;
-            self.grad_gamma.data_mut()[ci] += sum_dy_norm;
-            let g = self.gamma.data()[ci];
-            let inv_std = self.inv_std[ci];
-            let dp = &mut din[ci * plane..(ci + 1) * plane];
-            for ((d, &dy), &norm) in dp.iter_mut().zip(gp).zip(np) {
-                *d = g * inv_std / n * (n * dy - sum_dy - norm * sum_dy_norm);
-            }
-        }
-        Tensor::from_vec(&[c, h, w], din)
-    }
-
     fn apply_update(&mut self, rule: &UpdateRule, step: u64, ws: &mut Workspace) {
         self.opt_gamma
             .apply(rule, step, &mut self.gamma, &self.grad_gamma, ws);
@@ -1796,7 +1403,6 @@ impl TrainableLayer for BatchNorm {
         self.opt_beta.restore_from("opt_beta", state, layer, &shape)?;
         self.zero_grads();
         self.normalized = None;
-        self.normalized_b = None;
         Ok(())
     }
 
@@ -1822,22 +1428,22 @@ impl TrainableLayer for BatchNorm {
         let plane = h * w;
         let n = plane as f32;
         let slen = c * plane;
-        if self.stats_b.len() != batch * c * 3 {
-            self.stats_b.resize(batch * c * 3, 0.0);
+        if self.stats.len() != batch * c * 3 {
+            self.stats.resize(batch * c * 3, 0.0);
         }
         let mut out = ws.take(batch * slen);
-        // Per-sample statistics, exactly the single-sample formulation —
-        // each sample's normalisation is independent of the rest of the
-        // batch, so outputs are bit-identical to sequential calls.
-        let np = SlicePtr::new(cache_buf(&mut self.normalized_b, &[batch, c, h, w]).data_mut());
+        // Per-sample statistics: each sample's normalisation is
+        // independent of the rest of the batch, so outputs are
+        // bit-identical to `batch = 1` calls.
+        let np = SlicePtr::new(cache_buf(&mut self.normalized, &[batch, c, h, w]).data_mut());
         {
             let outp = SlicePtr::new(&mut out);
-            let sp = SlicePtr::new(&mut self.stats_b);
+            let sp = SlicePtr::new(&mut self.stats);
             let idata = input.data();
             let eps = self.eps;
             let gamma = self.gamma.data();
             let beta = self.beta.data();
-            parallel::for_each_range(batch, 1, |range| {
+            parallel::for_each_range(batch, parallel::min_units(slen), |range| {
                 for b in range {
                     // SAFETY: sample-disjoint slices of all three buffers.
                     let outs = unsafe { outp.slice(b * slen, slen) };
@@ -1874,12 +1480,12 @@ impl TrainableLayer for BatchNorm {
             });
         }
         // Serial batch-ascending EMA fold: bit-identical to feeding the
-        // same samples through the single-sample path one at a time, and
+        // same samples through `batch = 1` calls one at a time, and
         // independent of the worker count.
         for b in 0..batch {
             for ci in 0..c {
-                let mean = self.stats_b[(b * c + ci) * 3];
-                let var = self.stats_b[(b * c + ci) * 3 + 1];
+                let mean = self.stats[(b * c + ci) * 3];
+                let var = self.stats[(b * c + ci) * 3 + 1];
                 self.running_mean[ci] =
                     (1.0 - self.momentum) * self.running_mean[ci] + self.momentum * mean;
                 self.running_var[ci] =
@@ -1889,14 +1495,15 @@ impl TrainableLayer for BatchNorm {
         Ok(Tensor::from_vec(&[batch, c, h, w], out))
     }
 
-    fn backward_batch(
+    fn backward_batch_needs(
         &mut self,
         grad_out: &Tensor,
         batch: usize,
         ws: &mut Workspace,
-    ) -> Result<Tensor, TrainError> {
+        _needs: BackwardNeeds,
+    ) -> Result<Option<Tensor>, TrainError> {
         let normalized = self
-            .normalized_b
+            .normalized
             .as_ref()
             .ok_or(TrainError::BackwardBeforeForward { layer: "BatchNorm" })?;
         if normalized.shape()[0] != batch || grad_out.shape() != normalized.shape() {
@@ -1924,8 +1531,8 @@ impl TrainableLayer for BatchNorm {
             let nd = normalized.data();
             let gd = grad_out.data();
             let gamma = self.gamma.data();
-            let stats = &self.stats_b;
-            parallel::for_each_range(batch, 1, |range| {
+            let stats = &self.stats;
+            parallel::for_each_range(batch, parallel::min_units(slen), |range| {
                 for b in range {
                     // SAFETY: sample-disjoint slices of both buffers.
                     let d = unsafe { dp.slice(b * slen, slen) };
@@ -1957,7 +1564,7 @@ impl TrainableLayer for BatchNorm {
             self.grad_gamma.data_mut()[ci] += parts[c + ci];
         }
         ws.give(parts);
-        Ok(Tensor::from_vec(&[batch, c, h, w], din))
+        Ok(Some(Tensor::from_vec(&[batch, c, h, w], din)))
     }
 
     fn capture_grads(&self) -> LayerState {
@@ -1975,13 +1582,10 @@ impl TrainableLayer for BatchNorm {
 #[derive(Debug)]
 pub struct PixelNorm {
     eps: f32,
-    // caches
+    /// Normalized cache `[batch, C, H, W]`.
     normalized: Option<Tensor>,
-    inv_norm: Vec<f32>, // per spatial position
-    /// Batched normalized cache `[batch, C, H, W]`.
-    normalized_b: Option<Tensor>,
     /// Per-sample per-position inverse norms, `batch · plane` long.
-    inv_norm_b: Vec<f32>,
+    inv_norm: Vec<f32>,
 }
 
 impl PixelNorm {
@@ -1991,8 +1595,6 @@ impl PixelNorm {
             eps: 1e-8,
             normalized: None,
             inv_norm: Vec::new(),
-            normalized_b: None,
-            inv_norm_b: Vec::new(),
         }
     }
 }
@@ -2004,57 +1606,6 @@ impl Default for PixelNorm {
 }
 
 impl TrainableLayer for PixelNorm {
-    fn forward(&mut self, input: &Tensor, ws: &mut Workspace) -> Tensor {
-        check(expect_rank("PixelNorm", 3, input.shape()));
-        let (c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
-        let plane = h * w;
-        let cn = c as f32;
-        self.inv_norm.resize(plane, 0.0);
-        let mut out = ws.take(c * plane);
-        let normalized = cache_buf(&mut self.normalized, input.shape());
-        let ndata = normalized.data_mut();
-        let data = input.data();
-        for p in 0..plane {
-            let mut ss = 0.0;
-            for ci in 0..c {
-                let v = data[ci * plane + p];
-                ss += v * v;
-            }
-            let inv = 1.0 / (ss / cn + self.eps).sqrt();
-            self.inv_norm[p] = inv;
-            for ci in 0..c {
-                let y = data[ci * plane + p] * inv;
-                ndata[ci * plane + p] = y;
-                out[ci * plane + p] = y;
-            }
-        }
-        Tensor::from_vec(input.shape(), out)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
-        let normalized = self.normalized.as_ref().expect("backward before forward");
-        assert_eq!(grad_out.shape(), normalized.shape(), "gradient mismatch");
-        let c = normalized.shape()[0];
-        let plane = normalized.shape()[1] * normalized.shape()[2];
-        let cn = c as f32;
-        let mut din = ws.take(c * plane);
-        let nd = normalized.data();
-        let gd = grad_out.data();
-        // dx_k = r·(dy_k − y_k·(Σ_c dy_c y_c)/C), with r cached from the
-        // forward — the exact Jacobian of the unit-RMS rescale.
-        for p in 0..plane {
-            let mut dot = 0.0;
-            for ci in 0..c {
-                dot += gd[ci * plane + p] * nd[ci * plane + p];
-            }
-            let inv = self.inv_norm[p];
-            for ci in 0..c {
-                din[ci * plane + p] = inv * (gd[ci * plane + p] - nd[ci * plane + p] * dot / cn);
-            }
-        }
-        Tensor::from_vec(normalized.shape(), din)
-    }
-
     fn apply_update(&mut self, _rule: &UpdateRule, _step: u64, _ws: &mut Workspace) {}
     fn zero_grads(&mut self) {}
 
@@ -2079,17 +1630,17 @@ impl TrainableLayer for PixelNorm {
         let plane = h * w;
         let cn = c as f32;
         let slen = c * plane;
-        if self.inv_norm_b.len() != batch * plane {
-            self.inv_norm_b.resize(batch * plane, 0.0);
+        if self.inv_norm.len() != batch * plane {
+            self.inv_norm.resize(batch * plane, 0.0);
         }
         let mut out = ws.take(batch * slen);
-        let np = SlicePtr::new(cache_buf(&mut self.normalized_b, &[batch, c, h, w]).data_mut());
+        let np = SlicePtr::new(cache_buf(&mut self.normalized, &[batch, c, h, w]).data_mut());
         {
             let outp = SlicePtr::new(&mut out);
-            let ip = SlicePtr::new(&mut self.inv_norm_b);
+            let ip = SlicePtr::new(&mut self.inv_norm);
             let data = input.data();
             let eps = self.eps;
-            parallel::for_each_range(batch, 1, |range| {
+            parallel::for_each_range(batch, parallel::min_units(slen), |range| {
                 for b in range {
                     // SAFETY: sample-disjoint slices of all three buffers.
                     let outs = unsafe { outp.slice(b * slen, slen) };
@@ -2116,14 +1667,15 @@ impl TrainableLayer for PixelNorm {
         Ok(Tensor::from_vec(&[batch, c, h, w], out))
     }
 
-    fn backward_batch(
+    fn backward_batch_needs(
         &mut self,
         grad_out: &Tensor,
         batch: usize,
         ws: &mut Workspace,
-    ) -> Result<Tensor, TrainError> {
+        _needs: BackwardNeeds,
+    ) -> Result<Option<Tensor>, TrainError> {
         let normalized = self
-            .normalized_b
+            .normalized
             .as_ref()
             .ok_or(TrainError::BackwardBeforeForward { layer: "PixelNorm" })?;
         if normalized.shape()[0] != batch || grad_out.shape() != normalized.shape() {
@@ -2146,8 +1698,8 @@ impl TrainableLayer for PixelNorm {
             let dp = SlicePtr::new(&mut din);
             let nd = normalized.data();
             let gd = grad_out.data();
-            let invs = &self.inv_norm_b;
-            parallel::for_each_range(batch, 1, |range| {
+            let invs = &self.inv_norm;
+            parallel::for_each_range(batch, parallel::min_units(slen), |range| {
                 for b in range {
                     // SAFETY: sample-disjoint slices of `din`.
                     let d = unsafe { dp.slice(b * slen, slen) };
@@ -2166,7 +1718,7 @@ impl TrainableLayer for PixelNorm {
                 }
             });
         }
-        Ok(Tensor::from_vec(&[batch, c, h, w], din))
+        Ok(Some(Tensor::from_vec(&[batch, c, h, w], din)))
     }
 }
 
@@ -2174,9 +1726,8 @@ impl TrainableLayer for PixelNorm {
 #[derive(Debug)]
 pub struct LeakyRelu {
     alpha: f32,
+    /// Input cache of the last forward.
     cached_input: Option<Tensor>,
-    /// Batched input cache (kept apart from the single-sample cache).
-    cached_input_b: Option<Tensor>,
 }
 
 impl LeakyRelu {
@@ -2185,34 +1736,11 @@ impl LeakyRelu {
         LeakyRelu {
             alpha,
             cached_input: None,
-            cached_input_b: None,
         }
     }
 }
 
 impl TrainableLayer for LeakyRelu {
-    fn forward(&mut self, input: &Tensor, ws: &mut Workspace) -> Tensor {
-        let cache = cache_buf(&mut self.cached_input, input.shape());
-        cache.data_mut().copy_from_slice(input.data());
-        let a = self.alpha;
-        let mut out = ws.take(input.len());
-        for (o, &x) in out.iter_mut().zip(input.data()) {
-            *o = if x > 0.0 { x } else { a * x };
-        }
-        Tensor::from_vec(input.shape(), out)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
-        let input = self.cached_input.as_ref().expect("backward before forward");
-        assert_eq!(input.shape(), grad_out.shape(), "gradient shape mismatch");
-        let a = self.alpha;
-        let mut din = ws.take(grad_out.len());
-        for ((d, &x), &g) in din.iter_mut().zip(input.data()).zip(grad_out.data()) {
-            *d = if x > 0.0 { g } else { a * g };
-        }
-        Tensor::from_vec(input.shape(), din)
-    }
-
     fn apply_update(&mut self, _rule: &UpdateRule, _step: u64, _ws: &mut Workspace) {}
     fn zero_grads(&mut self) {}
 
@@ -2232,14 +1760,15 @@ impl TrainableLayer for LeakyRelu {
                 actual: input.shape().to_vec(),
             });
         }
-        let cache = cache_buf(&mut self.cached_input_b, input.shape());
+        let cache = cache_buf(&mut self.cached_input, input.shape());
         cache.data_mut().copy_from_slice(input.data());
         let slen = input.len() / batch;
         let a = self.alpha;
         let mut out = ws.take(input.len());
         {
             let data = input.data();
-            parallel::for_each_unit_chunk_mut(&mut out, slen, 1, |first, chunk| {
+            let min_samples = parallel::min_units(slen);
+            parallel::for_each_unit_chunk_mut(&mut out, slen, min_samples, |first, chunk| {
                 let (off, n) = (first * slen, chunk.len());
                 for (o, &x) in chunk.iter_mut().zip(&data[off..off + n]) {
                     *o = if x > 0.0 { x } else { a * x };
@@ -2249,14 +1778,15 @@ impl TrainableLayer for LeakyRelu {
         Ok(Tensor::from_vec(input.shape(), out))
     }
 
-    fn backward_batch(
+    fn backward_batch_needs(
         &mut self,
         grad_out: &Tensor,
         batch: usize,
         ws: &mut Workspace,
-    ) -> Result<Tensor, TrainError> {
+        _needs: BackwardNeeds,
+    ) -> Result<Option<Tensor>, TrainError> {
         let input = self
-            .cached_input_b
+            .cached_input
             .as_ref()
             .ok_or(TrainError::BackwardBeforeForward { layer: "LeakyRelu" })?;
         if input.shape()[0] != batch || grad_out.shape() != input.shape() {
@@ -2272,7 +1802,8 @@ impl TrainableLayer for LeakyRelu {
         {
             let xd = input.data();
             let gd = grad_out.data();
-            parallel::for_each_unit_chunk_mut(&mut din, slen, 1, |first, chunk| {
+            let min_samples = parallel::min_units(slen);
+            parallel::for_each_unit_chunk_mut(&mut din, slen, min_samples, |first, chunk| {
                 let (off, n) = (first * slen, chunk.len());
                 for ((d, &x), &g) in chunk
                     .iter_mut()
@@ -2283,16 +1814,15 @@ impl TrainableLayer for LeakyRelu {
                 }
             });
         }
-        Ok(Tensor::from_vec(input.shape(), din))
+        Ok(Some(Tensor::from_vec(input.shape(), din)))
     }
 }
 
 /// Hyperbolic-tangent activation (generator output).
 #[derive(Debug, Default)]
 pub struct Tanh {
+    /// Output cache of the last forward.
     cached_output: Option<Tensor>,
-    /// Batched output cache (kept apart from the single-sample cache).
-    cached_output_b: Option<Tensor>,
 }
 
 impl Tanh {
@@ -2303,29 +1833,6 @@ impl Tanh {
 }
 
 impl TrainableLayer for Tanh {
-    fn forward(&mut self, input: &Tensor, ws: &mut Workspace) -> Tensor {
-        let mut out = ws.take(input.len());
-        for (o, &x) in out.iter_mut().zip(input.data()) {
-            *o = x.tanh();
-        }
-        let cache = cache_buf(&mut self.cached_output, input.shape());
-        cache.data_mut().copy_from_slice(&out);
-        Tensor::from_vec(input.shape(), out)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
-        let out = self
-            .cached_output
-            .as_ref()
-            .expect("backward before forward");
-        assert_eq!(out.shape(), grad_out.shape(), "gradient shape mismatch");
-        let mut din = ws.take(grad_out.len());
-        for ((d, &y), &g) in din.iter_mut().zip(out.data()).zip(grad_out.data()) {
-            *d = g * (1.0 - y * y);
-        }
-        Tensor::from_vec(out.shape(), din)
-    }
-
     fn apply_update(&mut self, _rule: &UpdateRule, _step: u64, _ws: &mut Workspace) {}
     fn zero_grads(&mut self) {}
 
@@ -2349,26 +1856,28 @@ impl TrainableLayer for Tanh {
         let mut out = ws.take(input.len());
         {
             let data = input.data();
-            parallel::for_each_unit_chunk_mut(&mut out, slen, 1, |first, chunk| {
+            let min_samples = parallel::min_units(slen);
+            parallel::for_each_unit_chunk_mut(&mut out, slen, min_samples, |first, chunk| {
                 let (off, n) = (first * slen, chunk.len());
                 for (o, &x) in chunk.iter_mut().zip(&data[off..off + n]) {
                     *o = x.tanh();
                 }
             });
         }
-        let cache = cache_buf(&mut self.cached_output_b, input.shape());
+        let cache = cache_buf(&mut self.cached_output, input.shape());
         cache.data_mut().copy_from_slice(&out);
         Ok(Tensor::from_vec(input.shape(), out))
     }
 
-    fn backward_batch(
+    fn backward_batch_needs(
         &mut self,
         grad_out: &Tensor,
         batch: usize,
         ws: &mut Workspace,
-    ) -> Result<Tensor, TrainError> {
+        _needs: BackwardNeeds,
+    ) -> Result<Option<Tensor>, TrainError> {
         let out = self
-            .cached_output_b
+            .cached_output
             .as_ref()
             .ok_or(TrainError::BackwardBeforeForward { layer: "Tanh" })?;
         if out.shape()[0] != batch || grad_out.shape() != out.shape() {
@@ -2383,7 +1892,8 @@ impl TrainableLayer for Tanh {
         {
             let yd = out.data();
             let gd = grad_out.data();
-            parallel::for_each_unit_chunk_mut(&mut din, slen, 1, |first, chunk| {
+            let min_samples = parallel::min_units(slen);
+            parallel::for_each_unit_chunk_mut(&mut din, slen, min_samples, |first, chunk| {
                 let (off, n) = (first * slen, chunk.len());
                 for ((d, &y), &g) in chunk
                     .iter_mut()
@@ -2394,7 +1904,7 @@ impl TrainableLayer for Tanh {
                 }
             });
         }
-        Ok(Tensor::from_vec(out.shape(), din))
+        Ok(Some(Tensor::from_vec(out.shape(), din)))
     }
 }
 
@@ -2425,18 +1935,6 @@ impl Reshape {
 }
 
 impl TrainableLayer for Reshape {
-    fn forward(&mut self, input: &Tensor, ws: &mut Workspace) -> Tensor {
-        let mut out = ws.take(input.len());
-        out.copy_from_slice(input.data());
-        Tensor::from_vec(&self.to, out)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
-        let mut din = ws.take(grad_out.len());
-        din.copy_from_slice(grad_out.data());
-        Tensor::from_vec(&self.from, din)
-    }
-
     fn apply_update(&mut self, _rule: &UpdateRule, _step: u64, _ws: &mut Workspace) {}
     fn zero_grads(&mut self) {}
 
@@ -2463,12 +1961,13 @@ impl TrainableLayer for Reshape {
         Ok(Tensor::from_vec(&shape[..rank], out))
     }
 
-    fn backward_batch(
+    fn backward_batch_needs(
         &mut self,
         grad_out: &Tensor,
         batch: usize,
         ws: &mut Workspace,
-    ) -> Result<Tensor, TrainError> {
+        _needs: BackwardNeeds,
+    ) -> Result<Option<Tensor>, TrainError> {
         if batch == 0 {
             return Err(TrainError::EmptyBatch);
         }
@@ -2483,17 +1982,20 @@ impl TrainableLayer for Reshape {
         let mut din = ws.take(grad_out.len());
         din.copy_from_slice(grad_out.data());
         let (shape, rank) = batched_shape(batch, &self.from);
-        Ok(Tensor::from_vec(&shape[..rank], din))
+        Ok(Some(Tensor::from_vec(&shape[..rank], din)))
     }
 }
 
 /// A sequential stack of trainable layers, owning the [`Workspace`] its
 /// layers draw scratch and result buffers from.
 ///
-/// Intermediate activations and gradients are recycled into that pool as
-/// soon as the next layer has consumed them; callers recycle the final
-/// output via [`recycle`](Sequential::recycle). A training loop honouring
-/// that contract allocates nothing after its first (warmup) step.
+/// [`forward_batch`](Sequential::forward_batch) and
+/// [`backward_batch`](Sequential::backward_batch) run the whole `[B, …]`
+/// batch through every layer. Intermediate activations and gradients are
+/// recycled into the pool as soon as the next layer has consumed them;
+/// callers recycle the final output via [`recycle`](Sequential::recycle).
+/// A training loop honouring that contract allocates nothing after its
+/// first (warmup) step.
 #[derive(Default)]
 pub struct Sequential {
     layers: Vec<Box<dyn TrainableLayer>>,
@@ -2512,10 +2014,6 @@ struct SkipTap {
     to: usize,
     stash: Option<Tensor>,
     grad_stash: Option<Tensor>,
-    /// Batched-path stashes, kept apart from the single-sample ones so the
-    /// two paths can interleave without thrashing the cached shapes.
-    stash_b: Option<Tensor>,
-    grad_stash_b: Option<Tensor>,
 }
 
 impl std::fmt::Debug for Sequential {
@@ -2555,13 +2053,13 @@ impl Sequential {
         &*self.layers[index]
     }
 
-    /// Returns a tensor this stack produced (a [`forward`]/[`backward`]
-    /// result) to its buffer pool. Dropping outputs instead is correct but
-    /// forgoes reuse — recycling is what keeps the steady-state training
-    /// loop allocation-free.
+    /// Returns a tensor this stack produced (a [`forward_batch`]/
+    /// [`backward_batch`] result) to its buffer pool. Dropping outputs
+    /// instead is correct but forgoes reuse — recycling is what keeps the
+    /// steady-state training loop allocation-free.
     ///
-    /// [`forward`]: Sequential::forward
-    /// [`backward`]: Sequential::backward
+    /// [`forward_batch`]: Sequential::forward_batch
+    /// [`backward_batch`]: Sequential::backward_batch
     pub fn recycle(&mut self, t: Tensor) {
         self.ws.give_tensor(t);
     }
@@ -2585,69 +2083,10 @@ impl Sequential {
         });
     }
 
-    /// Forward through all layers.
-    pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        let Sequential { layers, skips, ws } = self;
-        if layers.is_empty() {
-            return input.clone();
-        }
-        let mut x = layers[0].forward(input, ws);
-        for tap in skips.iter_mut().filter(|t| t.from == 0) {
-            let s = cache_buf(&mut tap.stash, x.shape());
-            s.data_mut().copy_from_slice(x.data());
-        }
-        for (li, l) in layers.iter_mut().enumerate().skip(1) {
-            for tap in skips.iter_mut().filter(|t| t.to == li) {
-                let stash = tap.stash.as_ref().expect("skip source precedes target");
-                x.axpy_in_place(1.0, stash);
-            }
-            let y = l.forward(&x, ws);
-            ws.give_tensor(x);
-            x = y;
-            for tap in skips.iter_mut().filter(|t| t.from == li) {
-                let s = cache_buf(&mut tap.stash, x.shape());
-                s.data_mut().copy_from_slice(x.data());
-            }
-        }
-        x
-    }
-
-    /// Backward through all layers; returns `∇input`.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let Sequential { layers, skips, ws } = self;
-        let n = layers.len();
-        if n == 0 {
-            return grad_out.clone();
-        }
-        let mut g = layers[n - 1].backward(grad_out, ws);
-        for tap in skips.iter_mut().filter(|t| t.to == n - 1) {
-            let s = cache_buf(&mut tap.grad_stash, g.shape());
-            s.data_mut().copy_from_slice(g.data());
-        }
-        for li in (0..n - 1).rev() {
-            // The output of layer `li` also fed every skip tapped here:
-            // fold the branch gradients stashed at their targets back in
-            // before descending through the layer.
-            for tap in skips.iter_mut().filter(|t| t.from == li) {
-                let gs = tap.grad_stash.as_ref().expect("skip target follows source");
-                g.axpy_in_place(1.0, gs);
-            }
-            let h = layers[li].backward(&g, ws);
-            ws.give_tensor(g);
-            g = h;
-            for tap in skips.iter_mut().filter(|t| t.to == li) {
-                let s = cache_buf(&mut tap.grad_stash, g.shape());
-                s.data_mut().copy_from_slice(g.data());
-            }
-        }
-        g
-    }
-
     /// Forward through all layers with a leading batch dimension: every
     /// layer sees the whole `[B, …]` activation and issues one packed GEMM
     /// (or one parallel elementwise sweep) instead of `B` single-sample
-    /// passes. Buffer recycling matches [`forward`](Sequential::forward),
-    /// so the batched loop is also allocation-free after warmup.
+    /// passes.
     ///
     /// # Errors
     ///
@@ -2660,29 +2099,29 @@ impl Sequential {
         }
         let mut x = layers[0].forward_batch(input, batch, ws)?;
         for tap in skips.iter_mut().filter(|t| t.from == 0) {
-            let s = cache_buf(&mut tap.stash_b, x.shape());
+            let s = cache_buf(&mut tap.stash, x.shape());
             s.data_mut().copy_from_slice(x.data());
         }
         for (li, l) in layers.iter_mut().enumerate().skip(1) {
             for tap in skips.iter_mut().filter(|t| t.to == li) {
-                let stash = tap.stash_b.as_ref().expect("skip source precedes target");
+                let stash = tap.stash.as_ref().expect("skip source precedes target");
                 x.axpy_in_place(1.0, stash);
             }
             let y = l.forward_batch(&x, batch, ws)?;
             ws.give_tensor(x);
             x = y;
             for tap in skips.iter_mut().filter(|t| t.from == li) {
-                let s = cache_buf(&mut tap.stash_b, x.shape());
+                let s = cache_buf(&mut tap.stash, x.shape());
                 s.data_mut().copy_from_slice(x.data());
             }
         }
         Ok(x)
     }
 
-    /// Batched counterpart of [`backward`](Sequential::backward): descends
-    /// the stack once with the whole `[B, …]` gradient, accumulating each
-    /// layer's `∇W` through per-sample partials folded by the fixed
-    /// reduction tree (see [`tree_reduce_in_place`]).
+    /// Backward through all layers; returns `∇input`. Descends the stack
+    /// once with the whole `[B, …]` gradient, accumulating each layer's
+    /// `∇W` through per-sample partials folded by the fixed reduction tree
+    /// (see [`tree_reduce_in_place`]).
     ///
     /// # Errors
     ///
@@ -2713,7 +2152,7 @@ impl Sequential {
             if let Some(g) = g.as_mut() {
                 for tap in skips.iter_mut().filter(|t| t.from == li) {
                     let gs = tap
-                        .grad_stash_b
+                        .grad_stash
                         .as_ref()
                         .expect("skip target follows source");
                     g.axpy_in_place(1.0, gs);
@@ -2735,7 +2174,7 @@ impl Sequential {
             match h {
                 Some(h) => {
                     for tap in skips.iter_mut().filter(|t| t.to == li) {
-                        let s = cache_buf(&mut tap.grad_stash_b, h.shape());
+                        let s = cache_buf(&mut tap.grad_stash, h.shape());
                         s.data_mut().copy_from_slice(h.data());
                     }
                     g = Some(h);
@@ -2757,7 +2196,7 @@ impl Sequential {
     }
 
     /// Snapshots every layer's accumulated gradients, in stack order — the
-    /// bit-identity oracle hook for the batched trainer's tests.
+    /// hook the trainer's bit-identity tests compare through.
     pub fn capture_grads(&self) -> Vec<LayerState> {
         self.layers.iter().map(|l| l.capture_grads()).collect()
     }
@@ -2909,8 +2348,8 @@ impl AutoCheckpoint {
 
     /// Snapshots `gan` if the cadence is due: no checkpoint exists yet, or
     /// `every` steps have passed since the last one. Call at a step
-    /// boundary (between [`Gan::train_step`]s). Returns whether a
-    /// checkpoint was taken.
+    /// boundary (between training steps). Returns whether a checkpoint was
+    /// taken.
     pub fn maybe_take(&mut self, gan: &Gan) -> bool {
         let due = match &self.last {
             None => true,
@@ -3116,20 +2555,8 @@ pub struct Gan {
     scratch: Workspace,
 }
 
-/// Samples a uniform noise vector in `[-1, 1]` into a pooled buffer.
-fn sample_noise_into(rng: &mut StdRng, dim: usize, ws: &mut Workspace) -> Tensor {
-    let mut buf = ws.take(dim);
-    for slot in buf.iter_mut() {
-        *slot = rng.gen::<f32>() * 2.0 - 1.0;
-    }
-    Tensor::from_vec(&[dim], buf)
-}
-
-/// Samples `batch` noise vectors into one `[batch, dim]` tensor, filling
-/// samples in ascending order — the RNG consumes exactly the stream that
-/// `batch` successive [`sample_noise_into`] calls would, which is what
-/// keeps [`Gan::train_step_batched`] on the same noise sequence as the
-/// sequential trainer.
+/// Samples `batch` uniform noise vectors in `[-1, 1]` into one pooled
+/// `[batch, dim]` tensor, filling samples in ascending order.
 fn sample_noise_batch_into(rng: &mut StdRng, dim: usize, batch: usize, ws: &mut Workspace) -> Tensor {
     let mut buf = ws.take(batch * dim);
     for slot in buf.iter_mut() {
@@ -3142,21 +2569,41 @@ fn sample_noise_batch_into(rng: &mut StdRng, dim: usize, batch: usize, ws: &mut 
 /// [`Gan::train_step_batched`]. A setup helper, not a steady-state path —
 /// it allocates the batch buffer.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `samples` is empty, the shapes disagree, or a sample already
-/// has the maximum tensor rank (no room for the batch dimension).
-pub fn pack_batch(samples: &[Tensor]) -> Tensor {
-    assert!(!samples.is_empty(), "pack_batch needs at least one sample");
-    let shape = samples[0].shape();
-    let slen = samples[0].len();
-    let mut data = Vec::with_capacity(samples.len() * slen);
-    for s in samples {
-        assert_eq!(s.shape(), shape, "pack_batch samples must share a shape");
-        data.extend_from_slice(s.data());
+/// [`TrainError::EmptyBatch`] when `samples` is empty,
+/// [`TrainError::ShapeMismatch`] when the shapes disagree, and
+/// [`TrainError::RankMismatch`] when a sample already has the maximum
+/// tensor rank (no room for the batch dimension).
+pub fn pack_batch(samples: &[Tensor]) -> Result<Tensor, TrainError> {
+    pack_batch_into(samples, &mut Workspace::new())
+}
+
+/// [`pack_batch`] into a buffer drawn from `ws`.
+fn pack_batch_into(samples: &[Tensor], ws: &mut Workspace) -> Result<Tensor, TrainError> {
+    let first = samples.first().ok_or(TrainError::EmptyBatch)?;
+    let shape = first.shape();
+    if shape.len() >= 4 {
+        return Err(TrainError::RankMismatch {
+            layer: "pack_batch",
+            expected: 3,
+            actual: shape.len(),
+        });
+    }
+    if let Some(odd) = samples.iter().find(|s| s.shape() != shape) {
+        return Err(TrainError::ShapeMismatch {
+            layer: "pack_batch",
+            expected: shape.to_vec(),
+            actual: odd.shape().to_vec(),
+        });
+    }
+    let slen = first.len();
+    let mut data = ws.take(samples.len() * slen);
+    for (dst, s) in data.chunks_exact_mut(slen.max(1)).zip(samples) {
+        dst.copy_from_slice(s.data());
     }
     let (bshape, rank) = batched_shape(samples.len(), shape);
-    Tensor::from_vec(&bshape[..rank], data)
+    Ok(Tensor::from_vec(&bshape[..rank], data))
 }
 
 impl Gan {
@@ -3190,12 +2637,10 @@ impl Gan {
         self.step
     }
 
-    /// Snapshots the full trainer state. Call between [`train_step`]s:
+    /// Snapshots the full trainer state. Call between training steps:
     /// gradients and activation caches are dead there, so parameters,
     /// optimiser moments, the step counter and the RNG position are the
     /// complete state of the computation.
-    ///
-    /// [`train_step`]: Gan::train_step
     pub fn checkpoint(&self) -> GanCheckpoint {
         let mut ckpt = GanCheckpoint {
             generator: self.generator.capture_state(),
@@ -3210,12 +2655,12 @@ impl Gan {
 
     /// Restores a [`checkpoint`] into this trainer. The receiving GAN must
     /// have the same architecture (it may have different weights — they are
-    /// overwritten). After a successful restore the next [`train_step`]
-    /// produces bit-identical results to the one that would have followed
-    /// the checkpoint.
+    /// overwritten). After a successful restore the next
+    /// [`train_step_batched`] produces bit-identical results to the one
+    /// that would have followed the checkpoint.
     ///
     /// [`checkpoint`]: Gan::checkpoint
-    /// [`train_step`]: Gan::train_step
+    /// [`train_step_batched`]: Gan::train_step_batched
     pub fn restore(&mut self, ckpt: &GanCheckpoint) -> Result<(), CheckpointError> {
         ckpt.verify()?;
         self.generator.restore_state(&ckpt.generator)?;
@@ -3227,87 +2672,46 @@ impl Gan {
 
     /// Samples a uniform noise vector in `[-1, 1]`.
     pub fn sample_noise(&mut self) -> Tensor {
-        sample_noise_into(&mut self.rng, self.noise_dim, &mut self.scratch)
+        let noise = sample_noise_batch_into(&mut self.rng, self.noise_dim, 1, &mut self.scratch);
+        Tensor::from_vec(&[self.noise_dim], noise.into_vec())
     }
 
-    /// Generates one sample from fresh noise (no gradients retained).
+    /// Generates one sample from fresh noise (a batch of one through the
+    /// generator; no gradients retained).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the generator rejects a `[1, noise_dim]` input — the
+    /// stacks and `noise_dim` passed to [`Gan::new`] disagree.
     pub fn generate(&mut self) -> Tensor {
-        let noise = sample_noise_into(&mut self.rng, self.noise_dim, &mut self.scratch);
-        let out = self.generator.forward(&noise);
+        let noise = sample_noise_batch_into(&mut self.rng, self.noise_dim, 1, &mut self.scratch);
+        let out = self
+            .generator
+            .forward_batch(&noise, 1)
+            .unwrap_or_else(|e| panic!("{e}"));
         self.scratch.give_tensor(noise);
-        out
+        let shape = out.shape()[1..].to_vec();
+        Tensor::from_vec(&shape, out.into_vec())
     }
 
-    /// A `[1]` loss-gradient seed drawn from the trainer's scratch pool.
-    fn seed_grad(&mut self, v: f32) -> Tensor {
-        let mut buf = self.scratch.take(1);
-        buf[0] = v;
-        Tensor::from_vec(&[1], buf)
-    }
-
-    /// Runs one minibatch training step (Fig. 3's full dataflow: train D on
-    /// real+fake, then train G through the frozen D).
+    /// Runs one minibatch training step over a slice of same-shaped
+    /// samples: packs them into a buffer from the trainer's scratch pool
+    /// (so a steady-state loop never allocates) and runs
+    /// [`train_step_batched`](Gan::train_step_batched).
+    ///
+    /// # Panics
+    ///
+    /// Panics exactly when [`train_step_batched`](Gan::train_step_batched)
+    /// would return `Err`: an empty slice, mixed sample shapes, or samples
+    /// the stacks reject. Callers that must not panic pack with
+    /// [`pack_batch`] and call the fallible step themselves.
     pub fn train_step(&mut self, reals: &[Tensor]) -> StepStats {
-        let m = reals.len().max(1) as f32;
-        // Every buffer taken below is recycled to the pool it came from —
-        // stack outputs to their stack, noise and seeds to the trainer's
-        // scratch — so the step's take/give sequence is identical every
-        // iteration and steady-state heap traffic is zero.
-        // ---- Train the discriminator (Eq. 1). ----
-        let mut d_loss = 0.0;
-        for real in reals {
-            // Real sample, target 1.
-            let logit = self.discriminator.forward(real);
-            let l = logit.data()[0];
-            self.discriminator.recycle(logit);
-            d_loss += bce_with_logit(l, 1.0);
-            let grad = self.seed_grad((sigmoid(l) - 1.0) / m);
-            let din = self.discriminator.backward(&grad);
-            self.scratch.give_tensor(grad);
-            self.discriminator.recycle(din);
-            // Fake sample, target 0.
-            let noise = sample_noise_into(&mut self.rng, self.noise_dim, &mut self.scratch);
-            let fake = self.generator.forward(&noise);
-            self.scratch.give_tensor(noise);
-            let logit = self.discriminator.forward(&fake);
-            self.generator.recycle(fake);
-            let l = logit.data()[0];
-            self.discriminator.recycle(logit);
-            d_loss += bce_with_logit(l, 0.0);
-            let grad = self.seed_grad(sigmoid(l) / m);
-            let din = self.discriminator.backward(&grad);
-            self.scratch.give_tensor(grad);
-            self.discriminator.recycle(din);
-        }
-        self.step += 1;
-        self.discriminator.apply_update(&self.rule, self.step);
-        self.generator.zero_grads(); // G gradients from the D pass are discarded.
-
-        // ---- Train the generator (non-saturating form of Eq. 2). ----
-        let mut g_loss = 0.0;
-        for _ in 0..reals.len() {
-            let noise = sample_noise_into(&mut self.rng, self.noise_dim, &mut self.scratch);
-            let fake = self.generator.forward(&noise);
-            self.scratch.give_tensor(noise);
-            let logit = self.discriminator.forward(&fake);
-            self.generator.recycle(fake);
-            let l = logit.data()[0];
-            self.discriminator.recycle(logit);
-            g_loss += bce_with_logit(l, 1.0);
-            let grad = self.seed_grad((sigmoid(l) - 1.0) / m);
-            let d_input_grad = self.discriminator.backward(&grad);
-            self.scratch.give_tensor(grad);
-            let g_input_grad = self.generator.backward(&d_input_grad);
-            self.discriminator.recycle(d_input_grad);
-            self.generator.recycle(g_input_grad);
-        }
-        self.generator.apply_update(&self.rule, self.step);
-        self.discriminator.zero_grads(); // D gradients from the G pass are discarded.
-
-        StepStats {
-            d_loss: d_loss / (2.0 * m),
-            g_loss: g_loss / m,
-        }
+        let stats = pack_batch_into(reals, &mut self.scratch).and_then(|packed| {
+            let stats = self.train_step_batched(&packed);
+            self.scratch.give_tensor(packed);
+            stats
+        });
+        stats.unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Turns a `[batch, 1]` logit tensor into the matching `[batch, 1]`
@@ -3325,27 +2729,23 @@ impl Gan {
     }
 
     /// Runs one minibatch training step over a packed `[B, …]` real batch
-    /// (see [`pack_batch`]): the same two-phase dataflow as
-    /// [`train_step`](Gan::train_step), but each network pass covers the
-    /// whole batch with one packed GEMM per layer instead of `B`
-    /// single-sample passes.
+    /// (see [`pack_batch`]) — Fig. 3's full dataflow: train D on real and
+    /// fake, then train G through the frozen D. Each network pass covers
+    /// the whole batch with one packed GEMM per layer.
     ///
-    /// The RNG stream is identical to the sequential trainer's (`B` noise
-    /// draws in the D phase, then `B` in the G phase, samples ascending),
-    /// so checkpoints interoperate between the two trainers. Gradients are
-    /// exact per-sample partials folded by a fixed reduction tree
-    /// ([`tree_reduce_in_place`]), so the step is bit-deterministic across
-    /// runs and thread counts — though not bit-identical to `B` iterations
-    /// of the sequential per-sample loop, whose loss-seed interleaving and
-    /// sequential-accumulation order differ.
+    /// The RNG draws `B` noise vectors in the D phase, then `B` in the G
+    /// phase, samples ascending. Gradients are exact per-sample partials
+    /// folded by a fixed reduction tree ([`tree_reduce_in_place`]), so the
+    /// step is bit-deterministic across runs and thread counts.
     ///
     /// # Errors
     ///
     /// Returns a [`TrainError`] when the batch is empty, a shape disagrees
-    /// with the stacks, or a layer lacks a batched implementation. The
-    /// trainer state is unspecified-but-valid after an error (a partial
-    /// phase may have accumulated gradients); restore a checkpoint to
-    /// resume bit-exactly.
+    /// with the stacks, or a layer lacks a batched implementation. An
+    /// empty batch is refused before anything changes; after any other
+    /// error the trainer state is unspecified-but-valid (a partial phase
+    /// may have accumulated gradients), so restore a checkpoint to resume
+    /// bit-exactly.
     pub fn train_step_batched(&mut self, reals: &Tensor) -> Result<StepStats, TrainError> {
         if reals.shape().is_empty() || reals.shape()[0] == 0 {
             return Err(TrainError::EmptyBatch);
@@ -3487,18 +2887,21 @@ mod tests {
     fn discriminator_separates_obvious_inputs() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut d = tiny_discriminator(&mut rng);
-        // Train D alone: positives are +0.8 images, negatives are -0.8.
+        // Train D alone on a batch of two: a +0.8 positive and a -0.8
+        // negative image.
+        let pair = pack_batch(&[Tensor::filled(&[1, 8, 8], 0.8), Tensor::filled(&[1, 8, 8], -0.8)])
+            .unwrap();
+        let logits = |d: &mut Sequential| {
+            let out = d.forward_batch(&pair, 2).unwrap();
+            (out.data()[0], out.data()[1])
+        };
         for _ in 0..80 {
-            let pos = Tensor::filled(&[1, 8, 8], 0.8);
-            let logit = d.forward(&pos).data()[0];
-            d.backward(&Tensor::from_vec(&[1], vec![sigmoid(logit) - 1.0]));
-            let neg = Tensor::filled(&[1, 8, 8], -0.8);
-            let logit = d.forward(&neg).data()[0];
-            d.backward(&Tensor::from_vec(&[1], vec![sigmoid(logit)]));
+            let (pos, neg) = logits(&mut d);
+            let seeds = Tensor::from_vec(&[2, 1], vec![sigmoid(pos) - 1.0, sigmoid(neg)]);
+            d.backward_batch(&seeds, 2).unwrap();
             d.apply_update(&UpdateRule::sgd(0.05), 1);
         }
-        let pos_logit = d.forward(&Tensor::filled(&[1, 8, 8], 0.8)).data()[0];
-        let neg_logit = d.forward(&Tensor::filled(&[1, 8, 8], -0.8)).data()[0];
+        let (pos_logit, neg_logit) = logits(&mut d);
         assert!(
             pos_logit > neg_logit + 1.0,
             "D failed to separate: {pos_logit} vs {neg_logit}"
@@ -3543,10 +2946,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut ws = Workspace::new();
         let mut l = DenseLayer::new(3, 2, &mut rng);
-        let x = Tensor::from_vec(&[3], vec![0.5, -0.3, 0.8]);
-        let dout = Tensor::from_vec(&[2], vec![1.0, -0.5]);
-        let _ = l.forward(&x, &mut ws);
-        let din = l.backward(&dout, &mut ws);
+        let x = Tensor::from_vec(&[1, 3], vec![0.5, -0.3, 0.8]);
+        let dout = Tensor::from_vec(&[1, 2], vec![1.0, -0.5]);
+        let _ = l.forward_batch(&x, 1, &mut ws).unwrap();
+        let din = l.backward_batch(&dout, 1, &mut ws).unwrap();
         // din = W^T dout.
         let w = l.weights.clone();
         for i in 0..3 {
@@ -3561,11 +2964,11 @@ mod tests {
         let mut ws = Workspace::new();
         let geom = TconvGeometry::for_upsampling(4, 3, 2).unwrap();
         let mut l = TconvTrainLayer::new(2, 3, geom, &mut rng);
-        let x = Tensor::ones(&[2, 4, 4]);
-        let y = l.forward(&x, &mut ws);
-        assert_eq!(y.shape(), &[3, 8, 8]);
-        let din = l.backward(&Tensor::ones(&[3, 8, 8]), &mut ws);
-        assert_eq!(din.shape(), &[2, 4, 4]);
+        let x = Tensor::ones(&[1, 2, 4, 4]);
+        let y = l.forward_batch(&x, 1, &mut ws).unwrap();
+        assert_eq!(y.shape(), &[1, 3, 8, 8]);
+        let din = l.backward_batch(&Tensor::ones(&[1, 3, 8, 8]), 1, &mut ws).unwrap();
+        assert_eq!(din.shape(), &[1, 2, 4, 4]);
     }
 
     #[test]
@@ -3573,9 +2976,9 @@ mod tests {
         let spec = parse_network("tiny", "16f-(8t-4t)(3k2s)-t1", 2, 16).unwrap();
         let mut rng = StdRng::seed_from_u64(6);
         let mut net = build_trainable_with(&spec, true, true, &mut rng);
-        let out = net.forward(&Tensor::ones(&[16]));
-        assert_eq!(out.shape(), &[1, 16, 16]);
-        let din = net.backward(&Tensor::ones(&[1, 16, 16]));
+        let out = net.forward_batch(&Tensor::ones(&[1, 16]), 1).unwrap();
+        assert_eq!(out.shape(), &[1, 1, 16, 16]);
+        let din = net.backward_batch(&Tensor::ones(&[1, 1, 16, 16]), 1).unwrap();
         assert_eq!(din.len(), 16);
         net.apply_update(&UpdateRule::sgd(0.01), 1);
     }
@@ -3586,9 +2989,9 @@ mod tests {
         let spec = parse_network("tiny", "16f-(8t-4t)(3k2s)-t1", 2, 16).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
         let mut net = build_trainable(&spec, true, &mut rng);
-        let noise = Tensor::ones(&[16]);
-        let out = net.forward(&noise);
-        assert_eq!(out.shape(), &[1, 16, 16]);
+        let noise = Tensor::ones(&[1, 16]);
+        let out = net.forward_batch(&noise, 1).unwrap();
+        assert_eq!(out.shape(), &[1, 1, 16, 16]);
         // tanh bounds the output.
         assert!(out.data().iter().all(|v| v.abs() <= 1.0));
     }
@@ -3597,10 +3000,10 @@ mod tests {
     fn batchnorm_normalizes_and_round_trips_gradients() {
         let mut ws = Workspace::new();
         let mut bn = BatchNorm::new(2);
-        let input = Tensor::from_fn(&[2, 4, 4], |i| {
-            (i[0] as f32 + 1.0) * (i[1] * 4 + i[2]) as f32 * 0.25 + 3.0
+        let input = Tensor::from_fn(&[1, 2, 4, 4], |i| {
+            (i[1] as f32 + 1.0) * (i[2] * 4 + i[3]) as f32 * 0.25 + 3.0
         });
-        let out = bn.forward(&input, &mut ws);
+        let out = bn.forward_batch(&input, 1, &mut ws).unwrap();
         // Each channel of the output is ~zero-mean, ~unit-variance
         // (gamma=1, beta=0 initially).
         for ci in 0..2 {
@@ -3608,13 +3011,13 @@ mod tests {
             let mut var = 0.0;
             for y in 0..4 {
                 for x in 0..4 {
-                    mean += out[&[ci, y, x]];
+                    mean += out[&[0, ci, y, x]];
                 }
             }
             mean /= 16.0;
             for y in 0..4 {
                 for x in 0..4 {
-                    let d = out[&[ci, y, x]] - mean;
+                    let d = out[&[0, ci, y, x]] - mean;
                     var += d * d;
                 }
             }
@@ -3624,12 +3027,12 @@ mod tests {
         }
         // Gradient of a constant loss w.r.t. input sums to ~zero per
         // channel (normalisation removes the mean direction).
-        let din = bn.backward(&Tensor::ones(&[2, 4, 4]), &mut ws);
+        let din = bn.backward_batch(&Tensor::ones(&[1, 2, 4, 4]), 1, &mut ws).unwrap();
         for ci in 0..2 {
             let mut s = 0.0;
             for y in 0..4 {
                 for x in 0..4 {
-                    s += din[&[ci, y, x]];
+                    s += din[&[0, ci, y, x]];
                 }
             }
             assert!(s.abs() < 1e-3, "channel {ci} grad sum {s}");
@@ -3640,21 +3043,22 @@ mod tests {
     fn batchnorm_gradient_check() {
         let mut ws = Workspace::new();
         let mut bn = BatchNorm::new(1);
-        let input = Tensor::from_fn(&[1, 3, 3], |i| ((i[1] * 3 + i[2]) as f32).sin());
-        let dout = Tensor::from_fn(&[1, 3, 3], |i| ((i[1] + i[2]) as f32).cos() * 0.5);
-        let _ = bn.forward(&input, &mut ws);
-        let din = bn.backward(&dout, &mut ws);
+        let input = Tensor::from_fn(&[1, 1, 3, 3], |i| ((i[2] * 3 + i[3]) as f32).sin());
+        let dout = Tensor::from_fn(&[1, 1, 3, 3], |i| ((i[2] + i[3]) as f32).cos() * 0.5);
+        let _ = bn.forward_batch(&input, 1, &mut ws).unwrap();
+        let din = bn.backward_batch(&dout, 1, &mut ws).unwrap();
         // Finite differences through the full normalise-and-scale path.
         let loss = |inp: &Tensor| -> f32 {
             let mut probe_ws = Workspace::new();
             let mut probe = BatchNorm::new(1);
             probe
-                .forward(inp, &mut probe_ws)
+                .forward_batch(inp, 1, &mut probe_ws)
+                .unwrap()
                 .zip_with(&dout, |a, b| a * b)
                 .sum()
         };
         let eps = 1e-3;
-        for probe_idx in [[0usize, 0, 0], [0, 1, 2], [0, 2, 1]] {
+        for probe_idx in [[0usize, 0, 0, 0], [0, 0, 1, 2], [0, 0, 2, 1]] {
             let mut plus = input.clone();
             plus[&probe_idx[..]] += eps;
             let mut minus = input.clone();
@@ -3672,12 +3076,12 @@ mod tests {
     fn batchnorm_learns_affine_parameters() {
         let mut ws = Workspace::new();
         let mut bn = BatchNorm::new(1);
-        let input = Tensor::from_fn(&[1, 4, 4], |i| (i[1] * 4 + i[2]) as f32 * 0.1);
+        let input = Tensor::from_fn(&[1, 1, 4, 4], |i| (i[2] * 4 + i[3]) as f32 * 0.1);
         // Push outputs toward a constant 2.0: beta must rise.
         for step in 1..=50u64 {
-            let out = bn.forward(&input, &mut ws);
+            let out = bn.forward_batch(&input, 1, &mut ws).unwrap();
             let grad = out.map(|y| 2.0 * (y - 2.0) / 16.0);
-            let _ = bn.backward(&grad, &mut ws);
+            let _ = bn.backward_batch(&grad, 1, &mut ws).unwrap();
             bn.apply_update(&UpdateRule::sgd(0.2), step, &mut ws);
         }
         let beta = bn.beta.data()[0];
@@ -3701,16 +3105,17 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(11);
             let mut ws = Workspace::new();
             let mut layer = DenseLayer::new(4, 1, &mut rng);
-            let x = Tensor::from_vec(&[4], vec![0.5, -0.2, 0.8, 0.1]);
+            let x = Tensor::from_vec(&[1, 4], vec![0.5, -0.2, 0.8, 0.1]);
             let target = 1.5f32;
             let mut first_loss = None;
             let mut last_loss = 0.0;
             for step in 1..=60u64 {
-                let y = layer.forward(&x, &mut ws).data()[0];
+                let y = layer.forward_batch(&x, 1, &mut ws).unwrap().data()[0];
                 let err = y - target;
                 last_loss = err * err;
                 first_loss.get_or_insert(last_loss);
-                layer.backward(&Tensor::from_vec(&[1], vec![2.0 * err]), &mut ws);
+                let seed = Tensor::from_vec(&[1, 1], vec![2.0 * err]);
+                layer.backward_batch(&seed, 1, &mut ws).unwrap();
                 layer.apply_update(&rule, step, &mut ws);
             }
             assert!(
@@ -3727,16 +3132,17 @@ mod tests {
         let mut ws = Workspace::new();
         let mut layer = DenseLayer::new(2, 1, &mut rng);
         let rule = UpdateRule::Momentum { lr: 0.1, beta: 0.9 };
-        let x = Tensor::from_vec(&[2], vec![1.0, 1.0]);
+        let x = Tensor::from_vec(&[1, 2], vec![1.0, 1.0]);
+        let seed = Tensor::from_vec(&[1, 1], vec![1.0]);
         // Constant gradient direction: updates should grow while velocity
         // accumulates (second step moves farther than the first).
         let w0 = layer.weights.clone();
-        let _ = layer.forward(&x, &mut ws);
-        layer.backward(&Tensor::from_vec(&[1], vec![1.0]), &mut ws);
+        let _ = layer.forward_batch(&x, 1, &mut ws).unwrap();
+        layer.backward_batch(&seed, 1, &mut ws).unwrap();
         layer.apply_update(&rule, 1, &mut ws);
         let w1 = layer.weights.clone();
-        let _ = layer.forward(&x, &mut ws);
-        layer.backward(&Tensor::from_vec(&[1], vec![1.0]), &mut ws);
+        let _ = layer.forward_batch(&x, 1, &mut ws).unwrap();
+        layer.backward_batch(&seed, 1, &mut ws).unwrap();
         layer.apply_update(&rule, 2, &mut ws);
         let w2 = layer.weights.clone();
         let d1 = (w1.data()[0] - w0.data()[0]).abs();
@@ -3883,17 +3289,18 @@ mod tests {
         let mut net = build_trainable_with(&spec, true, true, &mut rng);
         // A few updates so running stats, moments and affines all move.
         for step in 1..=3u64 {
-            let out = net.forward(&Tensor::ones(&[16]));
-            net.backward(&out.map(|y| y * 0.1));
+            let out = net.forward_batch(&Tensor::ones(&[1, 16]), 1).unwrap();
+            net.backward_batch(&out.map(|y| y * 0.1), 1).unwrap();
             net.apply_update(&UpdateRule::dcgan_adam(0.05), step);
         }
-        let probe = net.forward(&Tensor::filled(&[16], 0.5));
+        let probe_input = Tensor::filled(&[1, 16], 0.5);
+        let probe = net.forward_batch(&probe_input, 1).unwrap();
         let snapshot = net.capture_state();
 
         let mut other_rng = StdRng::seed_from_u64(4242);
         let mut twin = build_trainable_with(&spec, true, true, &mut other_rng);
         twin.restore_state(&snapshot).expect("same architecture");
-        let twin_probe = twin.forward(&Tensor::filled(&[16], 0.5));
+        let twin_probe = twin.forward_batch(&probe_input, 1).unwrap();
         // BatchNorm's forward updates running stats, so equality of this
         // output proves gamma/beta/moments *and* the running statistics all
         // round-tripped bit-exactly.
@@ -3955,11 +3362,11 @@ mod tests {
         net.push(Box::new(LeakyRelu::new(0.2)));
         net.push(Box::new(DenseLayer::new(4, 1, &mut rng)));
         assert_eq!(net.len(), 3);
-        let x = Tensor::from_vec(&[4], vec![0.1, 0.2, 0.3, 0.4]);
-        let y = net.forward(&x);
+        let x = Tensor::from_vec(&[1, 4], vec![0.1, 0.2, 0.3, 0.4]);
+        let y = net.forward_batch(&x, 1).unwrap();
         assert_eq!(y.len(), 1);
-        let din = net.backward(&Tensor::from_vec(&[1], vec![1.0]));
-        assert_eq!(din.len(), 4);
+        let din = net.backward_batch(&Tensor::from_vec(&[1, 1], vec![1.0]), 1).unwrap();
+        assert_eq!(din.shape(), &[1, 4]);
     }
 
     fn det(shape: &[usize], seed: u32) -> Tensor {
@@ -3977,116 +3384,6 @@ mod tests {
         }
     }
 
-    /// Folds per-sample gradient snapshots with the same fixed tree the
-    /// batched path uses and bit-compares against the batched stack's
-    /// accumulated gradients.
-    fn assert_grads_match_tree(batched: &[LayerState], per_sample: &[Vec<LayerState>]) {
-        let batch = per_sample.len();
-        for (li, bstate) in batched.iter().enumerate() {
-            for (key, btensor) in bstate.entries() {
-                let len = btensor.len();
-                let mut parts = vec![0.0; batch * len];
-                for (b, states) in per_sample.iter().enumerate() {
-                    let t = states[li].get(key).expect("oracle captured the same keys");
-                    parts[b * len..(b + 1) * len].copy_from_slice(t.data());
-                }
-                tree_reduce_in_place(&mut parts, batch, len);
-                assert_bits_eq(btensor.data(), &parts[..len], &format!("layer {li} {key}"));
-            }
-        }
-    }
-
-    /// Runs one batched forward/backward over `net` and checks every output
-    /// row, input-gradient row, accumulated gradient and persistent state
-    /// bit-matches the per-sample oracle (`oracle` must be an identically
-    /// initialised twin) at each requested thread count.
-    fn check_batched_against_oracle(
-        spec: &NetworkSpec,
-        is_generator: bool,
-        batch_norm: bool,
-        inputs: &[Tensor],
-        seed_shape: &[usize],
-    ) {
-        let batch = inputs.len();
-        let packed = pack_batch(inputs);
-        let seeds: Vec<Tensor> = (0..batch)
-            .map(|b| det(seed_shape, 40 + b as u32))
-            .collect();
-        let packed_seeds = pack_batch(&seeds);
-        for threads in [1usize, 2, 8] {
-            parallel::with_threads(threads, || {
-                let mut rng = StdRng::seed_from_u64(11);
-                let mut net = build_trainable_with(spec, is_generator, batch_norm, &mut rng);
-                let mut rng = StdRng::seed_from_u64(11);
-                let mut oracle = build_trainable_with(spec, is_generator, batch_norm, &mut rng);
-
-                let out = net.forward_batch(&packed, batch).unwrap();
-                let din = net.backward_batch(&packed_seeds, batch).unwrap();
-                let slen = out.len() / batch;
-                let dlen = din.len() / batch;
-                let mut partials = Vec::new();
-                for (b, input) in inputs.iter().enumerate() {
-                    oracle.zero_grads();
-                    let o = oracle.forward(input);
-                    assert_bits_eq(
-                        &out.data()[b * slen..(b + 1) * slen],
-                        o.data(),
-                        &format!("threads {threads} forward sample {b}"),
-                    );
-                    let d = oracle.backward(&seeds[b]);
-                    assert_bits_eq(
-                        &din.data()[b * dlen..(b + 1) * dlen],
-                        d.data(),
-                        &format!("threads {threads} input grad sample {b}"),
-                    );
-                    oracle.recycle(o);
-                    oracle.recycle(d);
-                    partials.push(oracle.capture_grads());
-                }
-                assert_grads_match_tree(&net.capture_grads(), &partials);
-                // Persistent state (BatchNorm running statistics fold in
-                // sample order on both paths; weights are untouched).
-                for (li, (ls, rs)) in net
-                    .capture_state()
-                    .iter()
-                    .zip(oracle.capture_state().iter())
-                    .enumerate()
-                {
-                    for (key, lt) in ls.entries() {
-                        let rt = rs.get(key).expect("twin state keys agree");
-                        assert_bits_eq(
-                            lt.data(),
-                            rt.data(),
-                            &format!("threads {threads} state layer {li} {key}"),
-                        );
-                    }
-                }
-            });
-        }
-    }
-
-    #[test]
-    fn batched_generator_stack_matches_per_sample_oracle() {
-        let spec = parse_network("tiny", "16f-(8t-4t)(3k2s)-t1", 2, 16).unwrap();
-        // Batch of 5: a non-power-of-two exercises the ragged tree edge.
-        let inputs: Vec<Tensor> = (0..5).map(|b| det(&[16], 7 + b as u32)).collect();
-        check_batched_against_oracle(&spec, true, true, &inputs, &[1, 16, 16]);
-    }
-
-    #[test]
-    fn batched_extended_grammar_stack_matches_per_sample_oracle() {
-        // Dilated conv, a skip edge and bn/pn norm tags in one stack.
-        let spec = parse_network(
-            "ext",
-            "(1c-8c)(3k1s)-8c3k1s2d-8c3k1sbn+2-8c3k1s-8c3k1spn-f1",
-            2,
-            8,
-        )
-        .unwrap();
-        let inputs: Vec<Tensor> = (0..3).map(|b| det(&[1, 8, 8], 17 + b as u32)).collect();
-        check_batched_against_oracle(&spec, false, false, &inputs, &[1]);
-    }
-
     #[test]
     fn restricted_backward_matches_the_full_pass() {
         // What `train_step_batched` asks of each pass: weight gradients
@@ -4095,8 +3392,8 @@ mod tests {
         // and the skipped result must not be computed.
         let spec = parse_network("ext", "(1c-8c)(3k2s)-8c3k1s2d+2-8c3k1s-8c3k2s-f1", 2, 8).unwrap();
         let inputs: Vec<Tensor> = (0..3).map(|b| det(&[1, 8, 8], 60 + b as u32)).collect();
-        let packed = pack_batch(&inputs);
-        let seeds = pack_batch(&(0..3).map(|b| det(&[1], 70 + b)).collect::<Vec<_>>());
+        let packed = pack_batch(&inputs).unwrap();
+        let seeds = pack_batch(&(0..3).map(|b| det(&[1], 70 + b)).collect::<Vec<_>>()).unwrap();
         let build = || build_trainable_with(&spec, false, false, &mut StdRng::seed_from_u64(5));
         let (mut full, mut params, mut input) = (build(), build(), build());
         for net in [&mut full, &mut params, &mut input] {
@@ -4134,7 +3431,7 @@ mod tests {
                 let mut tail = Vec::new();
                 for _ in 0..3 {
                     let reals: Vec<Tensor> = (0..4).map(|_| blob_sample(&mut data_rng)).collect();
-                    let stats = gan.train_step_batched(&pack_batch(&reals)).unwrap();
+                    let stats = gan.train_step_batched(&pack_batch(&reals).unwrap()).unwrap();
                     tail.push(loss_bits(&stats));
                 }
                 (tail, gan.checkpoint())
@@ -4148,23 +3445,22 @@ mod tests {
     }
 
     #[test]
-    fn batched_step_consumes_the_sequential_noise_stream() {
+    fn train_step_is_the_packed_batched_step() {
         fn mk() -> Gan {
             let mut rng = StdRng::seed_from_u64(33);
             let g = tiny_generator(&mut rng);
             let d = tiny_discriminator(&mut rng);
             Gan::new(g, d, 4, 0.0, 55).with_optimizer(UpdateRule::dcgan_adam(0.01))
         }
-        let mut seq = mk();
-        let mut bat = mk();
+        let (mut sliced, mut packed) = (mk(), mk());
         let mut data_rng = StdRng::seed_from_u64(800);
-        let reals: Vec<Tensor> = (0..3).map(|_| blob_sample(&mut data_rng)).collect();
-        seq.train_step(&reals);
-        bat.train_step_batched(&pack_batch(&reals)).unwrap();
-        // Same number of draws in the same order: checkpoints from the two
-        // trainers stay interchangeable mid-run.
-        assert_eq!(seq.checkpoint().rng_state, bat.checkpoint().rng_state);
-        assert_eq!(seq.step(), bat.step());
+        for _ in 0..2 {
+            let reals: Vec<Tensor> = (0..3).map(|_| blob_sample(&mut data_rng)).collect();
+            let a = sliced.train_step(&reals);
+            let b = packed.train_step_batched(&pack_batch(&reals).unwrap()).unwrap();
+            assert_eq!(loss_bits(&a), loss_bits(&b));
+        }
+        assert_eq!(sliced.checkpoint(), packed.checkpoint());
     }
 
     #[test]
@@ -4177,7 +3473,7 @@ mod tests {
         let mut batches = Vec::new();
         for _ in 0..4 {
             let reals: Vec<Tensor> = (0..4).map(|_| blob_sample(&mut data_rng)).collect();
-            batches.push(pack_batch(&reals));
+            batches.push(pack_batch(&reals).unwrap());
         }
         let mut reference_tail = Vec::new();
         for (i, b) in batches.iter().enumerate() {
@@ -4251,14 +3547,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "BatchNorm: expected rank-3 input")]
-    fn poisoned_shape_panics_with_typed_message() {
-        // The legacy panicking contract survives the typed-error routing:
-        // the assert became a TrainError rendered through the same panic.
-        let mut ws = Workspace::new();
-        let mut bn = BatchNorm::new(2);
-        let _ = bn.forward(&Tensor::ones(&[2, 2]), &mut ws);
+    fn empty_batches_train_on_nothing() {
+        let mut rng = StdRng::seed_from_u64(71);
+        let g = tiny_generator(&mut rng);
+        let d = tiny_discriminator(&mut rng);
+        let mut gan = Gan::new(g, d, 4, 0.0, 72).with_optimizer(UpdateRule::dcgan_adam(0.01));
+        let mut data_rng = StdRng::seed_from_u64(900);
+        let reals: Vec<Tensor> = (0..2).map(|_| blob_sample(&mut data_rng)).collect();
+        // A real step first, so Adam holds non-zero moments that a
+        // zero-gradient update would still apply.
+        gan.train_step_batched(&pack_batch(&reals).unwrap()).unwrap();
+        let before = gan.checkpoint();
+        assert_eq!(
+            gan.train_step_batched(&Tensor::zeros(&[0, 1, 8, 8])),
+            Err(TrainError::EmptyBatch)
+        );
+        assert_eq!(gan.checkpoint(), before, "an empty batch changes nothing");
     }
+
+
 
     #[test]
     fn tree_reduce_matches_manual_fold() {
@@ -4278,9 +3585,26 @@ mod tests {
     fn pack_batch_stacks_and_validates() {
         let a = det(&[2, 3], 1);
         let b = det(&[2, 3], 2);
-        let packed = pack_batch(&[a.clone(), b.clone()]);
+        let packed = pack_batch(&[a.clone(), b.clone()]).unwrap();
         assert_eq!(packed.shape(), &[2, 2, 3]);
         assert_bits_eq(&packed.data()[..6], a.data(), "sample 0");
         assert_bits_eq(&packed.data()[6..], b.data(), "sample 1");
+        assert_eq!(pack_batch(&[]), Err(TrainError::EmptyBatch));
+        assert_eq!(
+            pack_batch(&[a, det(&[3, 2], 3)]),
+            Err(TrainError::ShapeMismatch {
+                layer: "pack_batch",
+                expected: vec![2, 3],
+                actual: vec![3, 2],
+            })
+        );
+        assert!(matches!(
+            pack_batch(&[Tensor::ones(&[1, 1, 1, 1])]),
+            Err(TrainError::RankMismatch {
+                layer: "pack_batch",
+                expected: 3,
+                actual: 4,
+            })
+        ));
     }
 }

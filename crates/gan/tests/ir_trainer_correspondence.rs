@@ -230,12 +230,13 @@ fn random_extended_gan() -> impl Strategy<Value = GanSpec> {
         )
 }
 
-/// Deterministic pseudo-random input for the first layer of `net`.
+/// Deterministic pseudo-random input for the first layer of `net`, as a
+/// batch of one.
 fn seed_input(net: &lergan_gan::NetworkSpec) -> Tensor {
     let first = &net.layers[0];
     let shape: Vec<usize> = match first {
-        lergan_gan::Layer::Fc(f) => vec![f.in_units],
-        _ => vec![first.fan_in_channels(), first.in_spatial(), first.in_spatial()],
+        lergan_gan::Layer::Fc(f) => vec![1, f.in_units],
+        _ => vec![1, first.fan_in_channels(), first.in_spatial(), first.in_spatial()],
     };
     let len: usize = shape.iter().product();
     let data: Vec<f32> = (0..len)
@@ -257,12 +258,12 @@ fn forward_backward_bits(
         let mut rng = StdRng::seed_from_u64(7);
         let (mut seq, _) = build_trainable_bound(net, is_generator, true, &mut rng);
         let x = seed_input(net);
-        let y = seq.forward(&x);
+        let y = seq.forward_batch(&x, 1).unwrap();
         let gdata: Vec<f32> = (0..y.len())
-            .map(|i| (i.wrapping_mul(40503) % 613) as f32 / 613.0 - 0.5)
+            .map(|i: usize| (i.wrapping_mul(40503) % 613) as f32 / 613.0 - 0.5)
             .collect();
         let g = Tensor::from_vec(y.shape(), gdata);
-        let din = seq.backward(&g);
+        let din = seq.backward_batch(&g, 1).unwrap();
         (
             y.data().iter().map(|v| v.to_bits()).collect(),
             din.data().iter().map(|v| v.to_bits()).collect(),

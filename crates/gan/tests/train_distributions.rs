@@ -4,7 +4,7 @@
 
 use lergan_gan::data::{generator_signature, Distribution, Sampler};
 use lergan_gan::topology::parse_network;
-use lergan_gan::train::{build_trainable_with, Gan, UpdateRule};
+use lergan_gan::train::{build_trainable_with, pack_batch, Gan, UpdateRule};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -64,8 +64,9 @@ fn discriminator_rejects_noise_after_training() {
     // (it has had 60 steps of advantage).
     let real = sampler.sample();
     let fake = gan.generate();
-    let real_logit = gan.discriminator.forward(&real).data()[0];
-    let fake_logit = gan.discriminator.forward(&fake).data()[0];
+    let pair = pack_batch(&[real, fake]).unwrap();
+    let logits = gan.discriminator.forward_batch(&pair, 2).unwrap();
+    let (real_logit, fake_logit) = (logits.data()[0], logits.data()[1]);
     assert!(
         real_logit > fake_logit,
         "D should prefer real ({real_logit:.3}) over fake ({fake_logit:.3})"

@@ -127,19 +127,6 @@ impl Conv2d {
     /// conv it is mathematically a T-CONV (the paper's `D-backward` uses
     /// T-CONV dataflow).
     ///
-    /// # Panics
-    ///
-    /// Panics on operand shape mismatches.
-    pub fn input_grad(&self, dout: &Tensor, weights: &Tensor, input_extent: usize) -> Tensor {
-        let mut ws = crate::workspace::Workspace::new();
-        self.input_grad_with(dout, weights, input_extent, &mut ws)
-    }
-
-    /// [`input_grad`](Self::input_grad) drawing its scratch plane and the
-    /// result buffer from a [`Workspace`](crate::workspace::Workspace) —
-    /// the form the trainer's steady-state loop calls, so the backward pass
-    /// performs no heap allocation.
-    ///
     /// The loop nest is the flat-indexed form of the defining scatter sum:
     /// for a fixed `∇input` element the additions arrive in ascending
     /// `(oc, oy, ox, ky, kx)` order — exactly the order of the original
@@ -149,13 +136,7 @@ impl Conv2d {
     /// # Panics
     ///
     /// Panics on operand shape mismatches.
-    pub fn input_grad_with(
-        &self,
-        dout: &Tensor,
-        weights: &Tensor,
-        input_extent: usize,
-        ws: &mut crate::workspace::Workspace,
-    ) -> Tensor {
+    pub fn input_grad(&self, dout: &Tensor, weights: &Tensor, input_extent: usize) -> Tensor {
         let geom = self.geometry(input_extent);
         assert_eq!(
             dout.shape(),
@@ -173,13 +154,13 @@ impl Conv2d {
             "weight shape mismatch"
         );
         let ie = input_extent;
-        let mut din = ws.take(self.in_channels * ie * ie);
+        let mut din = vec![0.0; self.in_channels * ie * ie];
         let pe = input_extent + 2 * self.pad;
         let k = self.geometry_kernel;
         let o = geom.output;
         let s = self.stride;
         let plane = pe * pe;
-        let mut dpad = ws.take_zeroed(self.in_channels * plane);
+        let mut dpad = vec![0.0; self.in_channels * plane];
         let wdata = weights.data();
         let ddata = dout.data();
         let flops_per_plane = self.out_channels * o * o * k * k;
@@ -219,7 +200,6 @@ impl Conv2d {
                 din[dst..dst + ie].copy_from_slice(&dpad[src..src + ie]);
             }
         }
-        ws.give(dpad);
         Tensor::from_vec(&[self.in_channels, ie, ie], din)
     }
 

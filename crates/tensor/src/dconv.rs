@@ -9,14 +9,14 @@
 //!
 //! * **Zero-insertion (naive)** — materialise the `K_eff` kernel
 //!   ([`expand_dilated_kernel`]) and run the dense im2col + GEMM over it
-//!   ([`dconv_zero_insertion`], [`im2col_dconv_into`]). This is the
+//!   ([`dconv_zero_insertion`], [`im2col_dconv`]). This is the
 //!   formulation whose inserted zeros the workload analytics count as
-//!   `macs_dense`, and the single-sample trainer's GEMM shape.
+//!   `macs_dense`.
 //! * **Zero-free (direct)** — [`dconv_direct`] touches only the `K` true
 //!   taps per axis, the software realisation of the ZFDR-style plan that
 //!   `lergan-core` maps onto crossbars. Proven equal to the naive path.
 //!
-//! The batched trainer runs neither: it lowers D-CONV through
+//! The trainer runs neither: it lowers D-CONV through
 //! [`crate::zero_free::PhaseConv`], which these kernels pin bit for bit.
 
 use crate::geometry::DconvGeometry;
@@ -36,26 +36,8 @@ pub fn expand_dilated_kernel(weights: &Tensor, geom: &DconvGeometry) -> Tensor {
     assert_eq!(weights.shape()[3], kw, "kernel col count mismatch");
     let (oc, ic) = (weights.shape()[0], weights.shape()[1]);
     let (eh, ew) = (geom.rows.effective_kernel(), geom.cols.effective_kernel());
-    let mut out = vec![0.0; oc * ic * eh * ew];
-    expand_dilated_kernel_into(weights, geom, &mut out);
-    Tensor::from_vec(&[oc, ic, eh, ew], out)
-}
-
-/// [`expand_dilated_kernel`] into a caller-owned buffer of length
-/// `OC·IC·Kh_eff·Kw_eff`, fully overwritten.
-///
-/// # Panics
-///
-/// Panics on shape or buffer-length mismatch.
-pub fn expand_dilated_kernel_into(weights: &Tensor, geom: &DconvGeometry, out: &mut [f32]) {
-    let (kh, kw) = (geom.rows.kernel, geom.cols.kernel);
-    assert_eq!(weights.shape()[2], kh, "kernel row count mismatch");
-    assert_eq!(weights.shape()[3], kw, "kernel col count mismatch");
-    let (oc, ic) = (weights.shape()[0], weights.shape()[1]);
-    let (eh, ew) = (geom.rows.effective_kernel(), geom.cols.effective_kernel());
     let (dh, dw) = (geom.rows.dilation, geom.cols.dilation);
-    assert_eq!(out.len(), oc * ic * eh * ew, "expanded kernel buffer length mismatch");
-    out.fill(0.0);
+    let mut out = vec![0.0; oc * ic * eh * ew];
     let data = weights.data();
     for co in 0..oc {
         for ci in 0..ic {
@@ -68,17 +50,18 @@ pub fn expand_dilated_kernel_into(weights: &Tensor, geom: &DconvGeometry, out: &
             }
         }
     }
+    Tensor::from_vec(&[oc, ic, eh, ew], out)
 }
 
 /// Unrolls a `[C, H, W]` input into the dense im2col matrix
 /// `[C·Kh_eff·Kw_eff, Oh·Ow]` of the zero-inserted-kernel formulation:
 /// the asymmetric, effective-extent analogue of
-/// [`crate::im2col::im2col_into`], with inline padding.
+/// [`crate::im2col::im2col`], with inline padding.
 ///
 /// # Panics
 ///
-/// Panics on shape or buffer-length mismatch.
-pub fn im2col_dconv_into(input: &Tensor, geom: &DconvGeometry, out: &mut [f32]) {
+/// Panics if the input shape disagrees with the geometry.
+pub fn im2col_dconv(input: &Tensor, geom: &DconvGeometry) -> Tensor {
     assert_eq!(input.shape().len(), 3, "im2col expects [C, H, W]");
     assert_eq!(input.shape()[1], geom.rows.input, "input row extent mismatch");
     assert_eq!(input.shape()[2], geom.cols.input, "input col extent mismatch");
@@ -88,7 +71,7 @@ pub fn im2col_dconv_into(input: &Tensor, geom: &DconvGeometry, out: &mut [f32]) 
     let (h, w) = (geom.rows.input, geom.cols.input);
     let (sh, sw) = (geom.rows.stride, geom.cols.stride);
     let (ph, pw) = (geom.rows.pad, geom.cols.pad);
-    assert_eq!(out.len(), c * eh * ew * oh * ow, "im2col buffer length mismatch");
+    let mut out = vec![0.0; c * eh * ew * oh * ow];
     let data = input.data();
     for ci in 0..c {
         for ky in 0..eh {
@@ -110,15 +93,14 @@ pub fn im2col_dconv_into(input: &Tensor, geom: &DconvGeometry, out: &mut [f32]) 
                 }
             }
         }
-    }
+    }    Tensor::from_vec(&[c * eh * ew, oh * ow], out)
 }
 
 /// Zero-free D-CONV input gradient: scatters `∇output` back through the
 /// `Kh·Kw` true taps only, accumulating into a caller-owned `∇input` slice
 /// of length `IC·H·W` that **must arrive zeroed**. For a fixed `∇input`
 /// element the additions arrive in ascending `(co, oy, jy, ox, jx)` order —
-/// `(co, jy↓, jx↓)` — the chain the single-sample trainer uses and the
-/// reference for the batched trainer's
+/// `(co, jy↓, jx↓)` — the reference for the trainer's
 /// [`PhaseConv::dconv_input_grad`](crate::zero_free::PhaseConv::dconv_input_grad).
 ///
 /// # Panics
@@ -168,16 +150,6 @@ pub fn dconv_input_grad_scatter(
             }
         }
     }
-}
-
-/// Allocating wrapper over [`im2col_dconv_into`].
-pub fn im2col_dconv(input: &Tensor, geom: &DconvGeometry) -> Tensor {
-    let c = input.shape()[0];
-    let (eh, ew) = (geom.rows.effective_kernel(), geom.cols.effective_kernel());
-    let (oh, ow) = (geom.rows.output, geom.cols.output);
-    let mut out = vec![0.0; c * eh * ew * oh * ow];
-    im2col_dconv_into(input, geom, &mut out);
-    Tensor::from_vec(&[c * eh * ew, oh * ow], out)
 }
 
 /// Naive zero-insertion D-CONV: expand the kernel to its dense effective

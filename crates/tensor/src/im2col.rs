@@ -13,31 +13,15 @@ use crate::tensor::Tensor;
 /// Unrolls a padded `[C, H, W]` input into the im2col matrix
 /// `[C·K·K, O·O]` for the given geometry: column `(oy·O + ox)` holds the
 /// window at output position `(oy, ox)` in channel-major, then
-/// row-major-kernel order. Allocating wrapper over [`im2col_into`].
+/// row-major-kernel order. Padding is resolved inline against the
+/// unpadded input (no padded intermediate plane is materialised):
+/// out-of-bounds window taps are `0.0`, exactly the values of the padded
+/// formulation.
 ///
 /// # Panics
 ///
 /// Panics if the input shape disagrees with the geometry.
 pub fn im2col(input: &Tensor, geom: &SconvGeometry) -> Tensor {
-    let c = input.shape()[0];
-    let k = geom.kernel;
-    let o = geom.output;
-    let mut out = vec![0.0; c * k * k * o * o];
-    im2col_into(input, geom, &mut out);
-    Tensor::from_vec(&[c * k * k, o * o], out)
-}
-
-/// [`im2col`] into a caller-owned buffer of length `C·K·K · O·O`, fully
-/// overwritten. Padding is resolved inline against the unpadded input (no
-/// padded intermediate plane is materialised): out-of-bounds window taps
-/// are written as `0.0`, producing exactly the values of the padded
-/// formulation.
-///
-/// # Panics
-///
-/// Panics if the input shape disagrees with the geometry or the buffer
-/// length is wrong.
-pub fn im2col_into(input: &Tensor, geom: &SconvGeometry, out: &mut [f32]) {
     assert_eq!(input.shape().len(), 3, "im2col expects [C, H, W]");
     assert_eq!(input.shape()[1], geom.input, "input extent mismatch");
     assert_eq!(input.shape()[2], geom.input, "input extent mismatch");
@@ -46,7 +30,7 @@ pub fn im2col_into(input: &Tensor, geom: &SconvGeometry, out: &mut [f32]) {
     let o = geom.output;
     let h = geom.input;
     let (stride, pad) = (geom.stride, geom.pad);
-    assert_eq!(out.len(), c * k * k * o * o, "im2col buffer length mismatch");
+    let mut out = vec![0.0; c * k * k * o * o];
     let data = input.data();
     for ci in 0..c {
         for ky in 0..k {
@@ -73,6 +57,7 @@ pub fn im2col_into(input: &Tensor, geom: &SconvGeometry, out: &mut [f32]) {
             }
         }
     }
+    Tensor::from_vec(&[c * k * k, o * o], out)
 }
 
 /// Reshapes `[OC, IC, K, K]` kernels into the GEMM weight matrix

@@ -223,6 +223,15 @@ fn pool_run<F: Fn(usize) + Sync>(threads: usize, f: &F) {
     }
 }
 
+/// The smallest number of units, each `work_per_unit` multiply-adds, that
+/// is worth a worker: a region with less work in total than the kernels'
+/// parallel floor runs on the calling thread, where a pool dispatch would
+/// cost more than the arithmetic. Pass it as a helper's `min_chunk` or
+/// `min_units`.
+pub fn min_units(work_per_unit: usize) -> usize {
+    (crate::tensor::MIN_PARALLEL_FLOPS / work_per_unit.max(1)).max(1)
+}
+
 /// Splits `0..len` into at most [`current_threads`] contiguous ranges of at
 /// least `min_chunk` items and runs `f` on each, in parallel.
 ///

@@ -309,7 +309,7 @@ impl std::ops::Index<&[usize; 4]> for Tensor {
 }
 
 /// Work floor (multiply-adds) below which kernels stay single-threaded:
-/// spawning scoped threads costs more than this much arithmetic.
+/// dispatching to the worker pool costs more than this much arithmetic.
 pub(crate) const MIN_PARALLEL_FLOPS: usize = 32 * 1024;
 
 /// Matrix-multiply-vector: `m` is `[rows, cols]`, `v` has `cols` elements.

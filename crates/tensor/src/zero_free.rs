@@ -55,7 +55,6 @@
 use crate::geometry::{DconvGeometry, SconvGeometry, TconvGeometry};
 use crate::kernel::{gemm_buf, gemm_nt_buf};
 use crate::parallel;
-use crate::tensor::MIN_PARALLEL_FLOPS;
 use crate::workspace::{with_thread_workspace, Workspace};
 
 /// One kernel tap of an axis class: the class positions `q` in `lo..hi`
@@ -543,8 +542,7 @@ impl PhaseConv {
         let (plane, slen) = (h * w, self.channels * h * w);
         let n = batch * nr * nc;
         let (ystep, xstep) = (self.rows.step, self.cols.step);
-        let min_rows = (MIN_PARALLEL_FLOPS / n.max(1)).max(1);
-        parallel::for_each_unit_chunk_mut(pcols, n, min_rows, |row0, rows| {
+        parallel::for_each_unit_chunk_mut(pcols, n, parallel::min_units(n), |row0, rows| {
             for (d, orow) in rows.chunks_mut(n).enumerate() {
                 let row = row0 + d;
                 let ch = row / (tr * tc);
@@ -572,7 +570,7 @@ impl PhaseConv {
         let (oo, olen) = (oh * ow, self.maps * oh * ow);
         let n = batch * nr * nc;
         let (py, px) = (self.rows.period, self.cols.period);
-        let min_samples = (MIN_PARALLEL_FLOPS / (self.maps * nr * nc).max(1)).max(1);
+        let min_samples = parallel::min_units(self.maps * nr * nc);
         parallel::for_each_unit_chunk_mut(out, olen, min_samples, |b0, samples| {
             for (d, sample) in samples.chunks_mut(olen).enumerate() {
                 let b = b0 + d;
@@ -630,7 +628,10 @@ impl PhaseConv {
         );
         assert_eq!(grad_out.len(), batch * glen, "∇output length mismatch");
         assert_eq!(parts.len(), batch * wlen, "partial buffer length mismatch");
-        parallel::for_each_unit_chunk_mut(parts, wlen, 1, |b0, chunk| {
+        // Each sample's partial costs about one multiply-add per weight
+        // and output position.
+        let min_samples = parallel::min_units(wlen * oh * ow);
+        parallel::for_each_unit_chunk_mut(parts, wlen, min_samples, |b0, chunk| {
             with_thread_workspace(|tws| {
                 for (d, part) in chunk.chunks_mut(wlen).enumerate() {
                     let b = b0 + d;

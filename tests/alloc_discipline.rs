@@ -152,7 +152,8 @@ fn steady_state_batched_step_is_alloc_free_at_eight_threads() {
         let mut gan = Gan::new(g, d, 8, 0.01, 4).with_optimizer(UpdateRule::dcgan_adam(0.01));
         let reals = lergan::gan::train::pack_batch(
             &(0..8).map(|_| Tensor::filled(&[1, 16, 16], 0.5)).collect::<Vec<_>>(),
-        );
+        )
+        .unwrap();
 
         // Two warmup steps: the first fills pools and caches on whichever
         // workers take each region; the second catches any buffer whose
