@@ -1,16 +1,14 @@
 //! Criterion benches for the ZFDR machinery (Fig. 16's substrate):
-//! zero-free execution — batched one-GEMM-per-pattern-class vs the
-//! per-position reference — against the naive zero-insertion kernel,
+//! zero-free execution through the phase-class lowering (`PhaseConv`, one
+//! GEMM per phase-class pair) against the naive zero-insertion kernels,
 //! plus plan enumeration and the closed-form counting.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lergan_core::zfdr::closed_form;
-use lergan_core::zfdr::exec::{
-    execute_tconv, execute_tconv_reference, execute_wconv, execute_wconv_reference,
-};
 use lergan_core::ZfdrPlan;
 use lergan_tensor::conv::{tconv_forward_zero_insert, wconv_weight_grad_zero_insert};
-use lergan_tensor::{TconvGeometry, Tensor, WconvGeometry};
+use lergan_tensor::zero_free::PhaseConv;
+use lergan_tensor::{TconvGeometry, Tensor, WconvGeometry, Workspace};
 use std::hint::black_box;
 
 fn det(shape: &[usize], seed: u32) -> Tensor {
@@ -21,56 +19,94 @@ fn det(shape: &[usize], seed: u32) -> Tensor {
     })
 }
 
+/// One-sample forward of `lowering` with buffers held across iterations,
+/// as a training loop holds them.
+fn bench_forward(
+    c: &mut Criterion,
+    group: &str,
+    lowering: &PhaseConv,
+    input: &Tensor,
+    weights: &Tensor,
+) {
+    let (oh, ow) = lowering.output_extent();
+    let mut cols = vec![0.0; lowering.cols_len(1)];
+    let mut out = vec![0.0; lowering.maps() * oh * ow];
+    let mut ws = Workspace::new();
+    c.bench_function(&format!("{group}/phase_conv"), |b| {
+        b.iter(|| {
+            lowering.forward(
+                black_box(input.data()),
+                1,
+                black_box(weights.data()),
+                &mut cols,
+                &mut out,
+                &mut ws,
+            )
+        })
+    });
+}
+
 fn bench_tconv(c: &mut Criterion) {
     // CONV1 geometry with reduced channels (full channels would bench
     // memory bandwidth, not the algorithms).
     let geom = TconvGeometry::for_upsampling(4, 5, 2).unwrap();
     let input = det(&[16, 4, 4], 1);
     let weights = det(&[8, 16, 5, 5], 2);
-    let mut g = c.benchmark_group("tconv_conv1_16x8ch");
-    g.bench_function("zfdr_batched_gemm", |b| {
-        b.iter(|| execute_tconv(black_box(&input), black_box(&weights), &geom))
-    });
-    g.bench_function("zfdr_per_position", |b| {
-        b.iter(|| execute_tconv_reference(black_box(&input), black_box(&weights), &geom))
-    });
-    g.bench_function("naive_zero_insertion", |b| {
+    bench_forward(
+        c,
+        "tconv_conv1_16x8ch",
+        &PhaseConv::tconv(16, 8, &geom),
+        &input,
+        &weights,
+    );
+    c.bench_function("tconv_conv1_16x8ch/naive_zero_insertion", |b| {
         b.iter(|| tconv_forward_zero_insert(black_box(&input), black_box(&weights), &geom))
     });
-    g.finish();
 }
 
 fn bench_tconv_wide(c: &mut Criterion) {
     // CONV3-like upsampling stage at realistic channel counts: the
-    // regime where batching per pattern class amortises matrix reuse.
+    // regime where one GEMM per phase class amortises the weight reuse.
     let geom = TconvGeometry::for_upsampling(16, 5, 2).unwrap();
     let input = det(&[64, 16, 16], 5);
     let weights = det(&[32, 64, 5, 5], 6);
-    let mut g = c.benchmark_group("tconv_16to32_64x32ch");
-    g.bench_function("zfdr_batched_gemm", |b| {
-        b.iter(|| execute_tconv(black_box(&input), black_box(&weights), &geom))
-    });
-    g.bench_function("zfdr_per_position", |b| {
-        b.iter(|| execute_tconv_reference(black_box(&input), black_box(&weights), &geom))
-    });
-    g.finish();
+    bench_forward(
+        c,
+        "tconv_16to32_64x32ch",
+        &PhaseConv::tconv(64, 32, &geom),
+        &input,
+        &weights,
+    );
 }
 
 fn bench_wconv(c: &mut Criterion) {
+    // W-CONV-S ∇W: the lowering's partial reads the columns its S-CONV
+    // forward gathered, so each iteration runs both.
     let geom = WconvGeometry::new(8, 5, 2, 2).unwrap();
     let input = det(&[8, 8, 8], 3);
     let dout = det(&[8, 4, 4], 4);
-    let mut g = c.benchmark_group("wconv_8x8_8ch");
-    g.bench_function("zfdr_batched_gemm", |b| {
-        b.iter(|| execute_wconv(black_box(&input), black_box(&dout), &geom))
+    let lowering = PhaseConv::sconv(8, 8, &geom.forward);
+    let weights = vec![0.0; lowering.weight_len()];
+    let mut cols = vec![0.0; lowering.cols_len(1)];
+    let mut out = vec![0.0; dout.len()];
+    let mut dw = vec![0.0; lowering.weight_len()];
+    let mut ws = Workspace::new();
+    c.bench_function("wconv_8x8_8ch/phase_conv", |b| {
+        b.iter(|| {
+            lowering.forward(
+                black_box(input.data()),
+                1,
+                &weights,
+                &mut cols,
+                &mut out,
+                &mut ws,
+            );
+            lowering.weight_grad_partials(&cols, black_box(dout.data()), 1, &mut dw);
+        })
     });
-    g.bench_function("zfdr_per_position", |b| {
-        b.iter(|| execute_wconv_reference(black_box(&input), black_box(&dout), &geom))
-    });
-    g.bench_function("naive_zero_insertion", |b| {
+    c.bench_function("wconv_8x8_8ch/naive_zero_insertion", |b| {
         b.iter(|| wconv_weight_grad_zero_insert(black_box(&input), black_box(&dout), &geom))
     });
-    g.finish();
 }
 
 fn bench_plan(c: &mut Criterion) {

@@ -1,25 +1,26 @@
-//! Wall-clock performance snapshot of the ZFDR execution paths and the
+//! Wall-clock performance snapshot of the zero-free execution and the
 //! training substrate, written to `BENCH_zfdr.json`.
 //!
 //! Times six workloads with `std::time::Instant`:
 //!
-//! * T-CONV ZFDR (batched one-GEMM-per-pattern-class, the cached-engine
-//!   variant, the per-position reference oracle, and a faithful copy of
-//!   the original lazy per-position implementation pinned below as the
-//!   baseline),
-//! * W-CONV-S ZFDR (same variants),
-//! * D-CONV dilated convolution: the zero-free direct gather against
-//!   the naive zero-inserted-kernel formulation,
+//! * T-CONV through the phase-class lowering (`PhaseConv`, buffers held
+//!   across calls as the trainer holds them), the zero-insertion
+//!   reference, and a faithful copy of the original lazy per-position
+//!   ZFDR implementation pinned below as the baseline,
+//! * the W-CONV-S weight gradient (same variants; the lowering's `∇W`
+//!   reads the columns its S-CONV forward gathered, so its entry times
+//!   both),
+//! * D-CONV dilated convolution: the lowering against the naive
+//!   zero-inserted-kernel formulation,
 //! * S-CONV through im2col + GEMM,
 //! * every GEMM execution strategy (`direct`, `packed`, `simd`), the
 //!   shape-adaptive `dispatch` that picks among them, and the pre-packing
 //!   kernel preserved in [`lergan_bench::naive`], on the dominant GEMM
 //!   shape of every Table V benchmark GAN,
-//! * the `mmv` direct kernel against the forced blocked path (dispatch
-//!   always routes `n = 1` direct; this entry proves it right),
+//! * the `mmv` row-dot kernel on an FC-discriminator-head shape,
 //! * one full DCGAN training step on the reduced 16 px networks.
 //!
-//! Each ZFDR workload is timed at one worker thread and at the
+//! Each conv workload is timed at one worker thread and at the
 //! configured thread count (`LERGAN_THREADS` or the host parallelism),
 //! so the snapshot records both algorithmic and threading speedups —
 //! except on single-core hosts, where the thread-scaling speedup key
@@ -34,20 +35,18 @@
 
 use lergan_bench::harness::time_ns;
 use lergan_bench::naive;
-use lergan_core::zfdr::exec::{
-    execute_tconv, execute_tconv_reference, execute_wconv, execute_wconv_reference, TconvEngine,
-    WconvEngine,
-};
 use lergan_core::ZfdrPlan;
 use lergan_gan::benchmarks;
 use lergan_gan::ir::OpGraph;
 use lergan_gan::topology::parse_network;
 use lergan_gan::train::{build_trainable_with, pack_batch, Gan, UpdateRule};
-use lergan_tensor::dconv::{dconv_zero_free, dconv_zero_insertion};
+use lergan_tensor::conv::{tconv_forward_zero_insert, wconv_weight_grad_zero_insert};
+use lergan_tensor::dconv::dconv_zero_insertion;
 use lergan_tensor::dispatch::{with_strategy, ForcedStrategy};
 use lergan_tensor::im2col::conv2d_gemm;
 use lergan_tensor::tensor::{gemm, mmv};
-use lergan_tensor::{parallel, SconvGeometry, TconvGeometry, Tensor, WconvGeometry};
+use lergan_tensor::zero_free::PhaseConv;
+use lergan_tensor::{parallel, SconvGeometry, TconvGeometry, Tensor, WconvGeometry, Workspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -162,6 +161,38 @@ fn seed_wconv(input: &Tensor, dout: &Tensor, geom: &WconvGeometry) -> Tensor {
     dw
 }
 
+/// A one-sample lowered forward with its buffers held across calls, as
+/// the trainer holds them.
+struct Lowered {
+    conv: PhaseConv,
+    cols: Vec<f32>,
+    out: Vec<f32>,
+    ws: Workspace,
+}
+
+impl Lowered {
+    fn new(conv: PhaseConv) -> Self {
+        let (oh, ow) = conv.output_extent();
+        Lowered {
+            cols: vec![0.0; conv.cols_len(1)],
+            out: vec![0.0; conv.maps() * oh * ow],
+            ws: Workspace::new(),
+            conv,
+        }
+    }
+
+    fn forward(&mut self, input: &Tensor, weights: &[f32]) {
+        self.conv.forward(
+            input.data(),
+            1,
+            weights,
+            &mut self.cols,
+            &mut self.out,
+            &mut self.ws,
+        );
+    }
+}
+
 struct Entry {
     name: String,
     threads: usize,
@@ -203,6 +234,19 @@ fn main() {
         });
     };
 
+    // Times `f` at one worker thread and at the configured count.
+    let at_thread_counts = |f: &mut dyn FnMut()| {
+        let counts = if threads == 1 {
+            vec![1]
+        } else {
+            vec![1, threads]
+        };
+        counts
+            .into_iter()
+            .map(|t| (t, parallel::with_threads(t, || time_ns(WINDOW, &mut *f))))
+            .collect::<Vec<_>>()
+    };
+
     // T-CONV at the CONV1 bench geometry (16 in / 8 out channels).
     let geom = TconvGeometry::for_upsampling(4, 5, 2).unwrap();
     let input = det(&[16, 4, 4], 1);
@@ -211,40 +255,18 @@ fn main() {
         black_box(seed_tconv(black_box(&input), black_box(&weights), &geom));
     });
     record("tconv_conv1_16x8ch/seed_per_position", 1, ns);
-    for t in [1, threads] {
-        let ns = parallel::with_threads(t, || {
-            time_ns(WINDOW, || {
-                black_box(execute_tconv_reference(
-                    black_box(&input),
-                    black_box(&weights),
-                    &geom,
-                ));
-            })
-        });
-        record("tconv_conv1_16x8ch/reference", t, ns);
-        let ns = parallel::with_threads(t, || {
-            time_ns(WINDOW, || {
-                black_box(execute_tconv(black_box(&input), black_box(&weights), &geom));
-            })
-        });
-        record("tconv_conv1_16x8ch/batched", t, ns);
-        if t == threads && threads == 1 {
-            break;
-        }
+    for (t, ns) in at_thread_counts(&mut || {
+        black_box(tconv_forward_zero_insert(
+            black_box(&input),
+            black_box(&weights),
+            &geom,
+        ));
+    }) {
+        record("tconv_conv1_16x8ch/zero_insert", t, ns);
     }
-    // Cached engine: the plan and the reshaped weight matrices are built
-    // once and reused across iterations, as a training loop would.
-    let engine = TconvEngine::new(&weights, &geom);
-    for t in [1, threads] {
-        let ns = parallel::with_threads(t, || {
-            time_ns(WINDOW, || {
-                black_box(engine.execute(black_box(&input)));
-            })
-        });
-        record("tconv_conv1_16x8ch/engine_cached", t, ns);
-        if t == threads && threads == 1 {
-            break;
-        }
+    let mut conv1 = Lowered::new(PhaseConv::tconv(16, 8, &geom));
+    for (t, ns) in at_thread_counts(&mut || conv1.forward(black_box(&input), weights.data())) {
+        record("tconv_conv1_16x8ch/phase_conv", t, ns);
     }
 
     // T-CONV at realistic mid-network channel counts.
@@ -259,35 +281,13 @@ fn main() {
         ));
     });
     record("tconv_16to32_64x32ch/seed_per_position", 1, ns);
-    for t in [1, threads] {
-        let ns = parallel::with_threads(t, || {
-            time_ns(WINDOW, || {
-                black_box(execute_tconv(
-                    black_box(&input_w),
-                    black_box(&weights_w),
-                    &geom_w,
-                ));
-            })
-        });
-        record("tconv_16to32_64x32ch/batched", t, ns);
-        if t == threads && threads == 1 {
-            break;
-        }
-    }
-    let engine_w = TconvEngine::new(&weights_w, &geom_w);
-    for t in [1, threads] {
-        let ns = parallel::with_threads(t, || {
-            time_ns(WINDOW, || {
-                black_box(engine_w.execute(black_box(&input_w)));
-            })
-        });
-        record("tconv_16to32_64x32ch/engine_cached", t, ns);
-        if t == threads && threads == 1 {
-            break;
-        }
+    let mut wide = Lowered::new(PhaseConv::tconv(64, 32, &geom_w));
+    for (t, ns) in at_thread_counts(&mut || wide.forward(black_box(&input_w), weights_w.data())) {
+        record("tconv_16to32_64x32ch/phase_conv", t, ns);
     }
 
-    // W-CONV-S weight gradient.
+    // W-CONV-S weight gradient. The lowering's ∇W reads the columns its
+    // S-CONV forward gathered, so its entry times both.
     let geom_g = WconvGeometry::new(8, 5, 2, 2).unwrap();
     let input_g = det(&[8, 8, 8], 3);
     let dout_g = det(&[8, 4, 4], 4);
@@ -295,52 +295,32 @@ fn main() {
         black_box(seed_wconv(black_box(&input_g), black_box(&dout_g), &geom_g));
     });
     record("wconv_8x8_8ch/seed_per_position", 1, ns);
-    for t in [1, threads] {
-        let ns = parallel::with_threads(t, || {
-            time_ns(WINDOW, || {
-                black_box(execute_wconv_reference(
-                    black_box(&input_g),
-                    black_box(&dout_g),
-                    &geom_g,
-                ));
-            })
-        });
-        record("wconv_8x8_8ch/reference", t, ns);
-        let ns = parallel::with_threads(t, || {
-            time_ns(WINDOW, || {
-                black_box(execute_wconv(
-                    black_box(&input_g),
-                    black_box(&dout_g),
-                    &geom_g,
-                ));
-            })
-        });
-        record("wconv_8x8_8ch/batched", t, ns);
-        if t == threads && threads == 1 {
-            break;
-        }
+    for (t, ns) in at_thread_counts(&mut || {
+        black_box(wconv_weight_grad_zero_insert(
+            black_box(&input_g),
+            black_box(&dout_g),
+            &geom_g,
+        ));
+    }) {
+        record("wconv_8x8_8ch/zero_insert", t, ns);
     }
-    // Cached engine: only the plan enumeration is reusable here (the
-    // reshaped matrices are built from the per-call ∇output).
-    let engine_g = WconvEngine::new(&geom_g);
-    for t in [1, threads] {
-        let ns = parallel::with_threads(t, || {
-            time_ns(WINDOW, || {
-                black_box(engine_g.execute(black_box(&input_g), black_box(&dout_g)));
-            })
-        });
-        record("wconv_8x8_8ch/engine_cached", t, ns);
-        if t == threads && threads == 1 {
-            break;
-        }
+    let mut wconv = Lowered::new(PhaseConv::sconv(8, 8, &geom_g.forward));
+    let fwd_weights = vec![0.0; wconv.conv.weight_len()];
+    let mut dw = vec![0.0; wconv.conv.weight_len()];
+    for (t, ns) in at_thread_counts(&mut || {
+        wconv.forward(black_box(&input_g), &fwd_weights);
+        wconv
+            .conv
+            .weight_grad_partials(&wconv.cols, black_box(dout_g.data()), 1, &mut dw);
+    }) {
+        record("wconv_8x8_8ch/phase_conv", t, ns);
     }
 
-    // D-CONV: the zero-free compact-im2col GEMM against the naive
-    // formulation that materialises the zero-inserted dilated kernel
-    // (the EcoFlow dual of T-CONV's zero-inserted input); both run the
-    // same GEMM dispatch, so the gap is purely the skipped zeros.
-    // Geometry mirrors the ResDilatedGAN refiner block: 3x3 kernel at
-    // dilation 2 over a 16 px plane, extent-preserving.
+    // D-CONV: the lowering, which gathers only the true taps, against the
+    // naive formulation that materialises the zero-inserted dilated
+    // kernel (the EcoFlow dual of T-CONV's zero-inserted input). Geometry
+    // mirrors the ResDilatedGAN refiner block: 3x3 kernel at dilation 2
+    // over a 16 px plane, extent-preserving.
     let geom_d = {
         let axis = lergan_tensor::DconvAxis::for_target(16, 3, 1, 2, 16)
             .expect("stride-1 dilated conv keeps the extent");
@@ -348,50 +328,32 @@ fn main() {
     };
     let input_d = det(&[16, 16, 16], 9);
     let weights_d = det(&[16, 16, 3, 3], 10);
-    for t in [1, threads] {
-        let ns = parallel::with_threads(t, || {
-            time_ns(WINDOW, || {
-                black_box(dconv_zero_insertion(
-                    black_box(&input_d),
-                    black_box(&weights_d),
-                    &geom_d,
-                ));
-            })
-        });
+    for (t, ns) in at_thread_counts(&mut || {
+        black_box(dconv_zero_insertion(
+            black_box(&input_d),
+            black_box(&weights_d),
+            &geom_d,
+        ));
+    }) {
         record("dconv_16px_16x16ch_d2/zero_inserted", t, ns);
-        let ns = parallel::with_threads(t, || {
-            time_ns(WINDOW, || {
-                black_box(dconv_zero_free(
-                    black_box(&input_d),
-                    black_box(&weights_d),
-                    &geom_d,
-                ));
-            })
-        });
+    }
+    let mut dconv = Lowered::new(PhaseConv::dconv(16, 16, &geom_d));
+    for (t, ns) in at_thread_counts(&mut || dconv.forward(black_box(&input_d), weights_d.data())) {
         record("dconv_16px_16x16ch_d2/zero_free", t, ns);
-        if t == threads && threads == 1 {
-            break;
-        }
     }
 
     // S-CONV through im2col + GEMM (discriminator-style layer).
     let geom_s = SconvGeometry::new(16, 5, 2, 2).unwrap();
     let input_s = det(&[32, 16, 16], 7);
     let weights_s = det(&[32, 32, 5, 5], 8);
-    for t in [1, threads] {
-        let ns = parallel::with_threads(t, || {
-            time_ns(WINDOW, || {
-                black_box(conv2d_gemm(
-                    black_box(&input_s),
-                    black_box(&weights_s),
-                    &geom_s,
-                ));
-            })
-        });
+    for (t, ns) in at_thread_counts(&mut || {
+        black_box(conv2d_gemm(
+            black_box(&input_s),
+            black_box(&weights_s),
+            &geom_s,
+        ));
+    }) {
         record("sconv_16px_32x32ch/im2col_gemm", t, ns);
-        if t == threads && threads == 1 {
-            break;
-        }
     }
 
     // Every GEMM strategy, the shape-adaptive dispatch, and the
@@ -459,32 +421,15 @@ fn main() {
         (gemm_ratios.iter().map(|r| r.ln()).sum::<f64>() / gemm_ratios.len() as f64).exp()
     };
 
-    // The mmv direct kernel against the forced blocked path on an
-    // FC-discriminator-head shape: dispatch routes every `n = 1` product
-    // direct, and this entry keeps that choice honest.
+    // The mmv row-dot kernel on an FC-discriminator-head shape.
     let mmv_mat = det(&[64, 1024], 33);
     let mmv_vec: Vec<f32> = det(&[1024], 34).data().to_vec();
-    let mmv_direct_ns = parallel::with_threads(1, || {
-        with_strategy(ForcedStrategy::Auto, || {
-            time_ns(WINDOW, || {
-                black_box(mmv(black_box(&mmv_mat), black_box(&mmv_vec)));
-            })
+    let ns = parallel::with_threads(1, || {
+        time_ns(WINDOW, || {
+            black_box(mmv(black_box(&mmv_mat), black_box(&mmv_vec)));
         })
     });
-    let mmv_blocked_ns = parallel::with_threads(1, || {
-        with_strategy(ForcedStrategy::Packed, || {
-            time_ns(WINDOW, || {
-                black_box(mmv(black_box(&mmv_mat), black_box(&mmv_vec)));
-            })
-        })
-    });
-    record("mmv_fc_64x1024/direct", 1, mmv_direct_ns);
-    record("mmv_fc_64x1024/blocked", 1, mmv_blocked_ns);
-    let mmv_speedup = if mmv_direct_ns > 0.0 {
-        mmv_blocked_ns / mmv_direct_ns
-    } else {
-        1.0
-    };
+    record("mmv_fc_64x1024/direct", 1, ns);
 
     // One full DCGAN training step on the reduced 16 px networks.
     let mut rng = StdRng::seed_from_u64(1);
@@ -498,16 +443,10 @@ fn main() {
         Tensor::filled(&[1, 16, 16], 0.5),
     ])
     .expect("same-shaped samples");
-    for t in [1, threads] {
-        let ns = parallel::with_threads(t, || {
-            time_ns(WINDOW, || {
-                black_box(gan.train_step_batched(black_box(&reals)).unwrap());
-            })
-        });
+    for (t, ns) in at_thread_counts(&mut || {
+        black_box(gan.train_step_batched(black_box(&reals)).unwrap());
+    }) {
         record("gan_train_step_16px/full", t, ns);
-        if t == threads && threads == 1 {
-            break;
-        }
     }
 
     let find = |name: &str, t: usize| {
@@ -517,13 +456,13 @@ fn main() {
             .map(|e| e.ns)
     };
     let seed_conv1 = find("tconv_conv1_16x8ch/seed_per_position", 1);
-    let batched_conv1 = find("tconv_conv1_16x8ch/batched", 1);
-    let speedup_conv1 = match (seed_conv1, batched_conv1) {
+    let phase_conv1 = find("tconv_conv1_16x8ch/phase_conv", 1);
+    let speedup_conv1 = match (seed_conv1, phase_conv1) {
         (Some(s), Some(b)) if b > 0.0 => s / b,
         _ => 0.0,
     };
-    let reference_conv1 = find("tconv_conv1_16x8ch/reference", 1);
-    let dispatch_vs_reference = match (reference_conv1, batched_conv1) {
+    let zero_insert_conv1 = find("tconv_conv1_16x8ch/zero_insert", 1);
+    let zero_free_vs_zero_insert = match (zero_insert_conv1, phase_conv1) {
         (Some(r), Some(b)) if b > 0.0 => r / b,
         _ => 0.0,
     };
@@ -532,11 +471,11 @@ fn main() {
     // the 1-thread measurement it would have been computed from — the
     // entry stays in the trajectory instead of being dropped.
     let thread_scaling_json = if cores == 1 || threads == 1 {
-        let one = batched_conv1.unwrap_or(0.0);
+        let one = phase_conv1.unwrap_or(0.0);
         format!("{{ \"marker\": \"skipped_single_core\", \"one_thread_ns\": {one:.0} }}")
     } else {
-        let batched_multi = find("tconv_conv1_16x8ch/batched", threads);
-        let thread_speedup = match (batched_conv1, batched_multi) {
+        let phase_multi = find("tconv_conv1_16x8ch/phase_conv", threads);
+        let thread_speedup = match (phase_conv1, phase_multi) {
             (Some(one), Some(multi)) if multi > 0.0 => one / multi,
             _ => 1.0,
         };
@@ -570,16 +509,15 @@ fn main() {
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"speedups\": {{\n    \"tconv_conv1_batched_vs_seed_1thread\": {speedup_conv1:.2},\n    \"tconv_conv1_dispatch_vs_reference\": {dispatch_vs_reference:.2},\n    \"tconv_conv1_batched_multi_vs_1thread\": {thread_scaling_json},\n    \"dconv_zero_free_vs_naive\": {dconv_speedup:.2},\n    \"gemm_dispatch_vs_naive_geomean\": {gemm_geomean:.2},\n    \"mmv_direct_vs_blocked\": {mmv_speedup:.2},\n    \"gan_train_step_vs_previous\": {step_vs_previous:.2}\n  }}\n"
+        "  \"speedups\": {{\n    \"tconv_conv1_phase_conv_vs_seed_1thread\": {speedup_conv1:.2},\n    \"tconv_conv1_zero_free_vs_zero_insert\": {zero_free_vs_zero_insert:.2},\n    \"tconv_conv1_phase_conv_multi_vs_1thread\": {thread_scaling_json},\n    \"dconv_zero_free_vs_naive\": {dconv_speedup:.2},\n    \"gemm_dispatch_vs_naive_geomean\": {gemm_geomean:.2},\n    \"gan_train_step_vs_previous\": {step_vs_previous:.2}\n  }}\n"
     ));
     json.push_str("}\n");
     std::fs::write(&out_path, &json).expect("write snapshot");
-    println!("\nbatched vs seed per-position (CONV1, 1 thread): {speedup_conv1:.2}x");
-    println!("batched vs per-position reference (CONV1):      {dispatch_vs_reference:.2}x");
-    println!("batched {threads} threads vs 1 thread (CONV1):    {thread_scaling_json}");
-    println!("dconv zero-free vs zero-inserted (d=2, 16 px):  {dconv_speedup:.2}x");
-    println!("dispatch vs naive GEMM (geomean over Table V):  {gemm_geomean:.2}x");
-    println!("mmv direct vs forced blocked (64x1024):         {mmv_speedup:.2}x");
-    println!("train step vs previous snapshot (1 thread):     {step_vs_previous:.2}x");
+    println!("\nphase conv vs seed per-position (CONV1, 1 thread): {speedup_conv1:.2}x");
+    println!("zero-free vs zero insertion (CONV1, 1 thread):    {zero_free_vs_zero_insert:.2}x");
+    println!("phase conv {threads} threads vs 1 thread (CONV1):     {thread_scaling_json}");
+    println!("dconv zero-free vs zero-inserted (d=2, 16 px):    {dconv_speedup:.2}x");
+    println!("dispatch vs naive GEMM (geomean over Table V):    {gemm_geomean:.2}x");
+    println!("train step vs previous snapshot (1 thread):       {step_vs_previous:.2}x");
     println!("wrote {out_path}");
 }

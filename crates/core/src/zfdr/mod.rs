@@ -12,13 +12,13 @@
 //! volumetric GANs) of *axis patterns*. [`plan::ZfdrPlan`] enumerates axis
 //! patterns exactly; [`closed_form`] implements the paper's Case 1/2/3
 //! counting (CornerReshape / EdgeReshape / InsideReshape, Eq. 11–13), which
-//! the tests cross-validate against the enumeration; and [`exec`] actually
-//! computes convolutions through the reshaped form, proving bit-level
-//! equivalence with the naive zero-insertion kernels.
+//! the tests cross-validate against the enumeration. The functional
+//! execution is [`lergan_tensor::zero_free::PhaseConv`]: it groups output
+//! positions by phase class rather than by pattern, and its count of
+//! true-value products equals the plan's reuse-weighted pattern volume on
+//! every 2-D benchmark geometry (`tests/zfdr_end_to_end.rs`).
 
 pub mod closed_form;
-pub mod exec;
 pub mod plan;
 
-pub use exec::{execute_tconv, execute_wconv, TconvEngine, WconvEngine, ZfdrStats};
 pub use plan::{AxisClass, ClassKind, KindSummary, ZfdrPlan};

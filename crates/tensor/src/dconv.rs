@@ -169,82 +169,6 @@ pub fn dconv_zero_insertion(input: &Tensor, weights: &Tensor, geom: &DconvGeomet
     flat.reshaped(&[oc, geom.rows.output, geom.cols.output])
 }
 
-/// Unrolls a `[C, H, W]` input into the *compact* im2col matrix
-/// `[C·Kh·Kw, Oh·Ow]` of the zero-free formulation: row `(ci, jy, jx)`
-/// samples the input at the true tap offsets `(jy·Dh, jx·Dw)` only, so
-/// the GEMM reduction dimension shrinks from `C·Kh_eff·Kw_eff` to
-/// `C·Kh·Kw` — the inserted zeros are never materialised, let alone
-/// multiplied.
-///
-/// # Panics
-///
-/// Panics on shape or buffer-length mismatch.
-pub fn im2col_dconv_compact_into(input: &Tensor, geom: &DconvGeometry, out: &mut [f32]) {
-    assert_eq!(input.shape().len(), 3, "im2col expects [C, H, W]");
-    assert_eq!(input.shape()[1], geom.rows.input, "input row extent mismatch");
-    assert_eq!(input.shape()[2], geom.cols.input, "input col extent mismatch");
-    let c = input.shape()[0];
-    let (kh, kw) = (geom.rows.kernel, geom.cols.kernel);
-    let (oh, ow) = (geom.rows.output, geom.cols.output);
-    let (h, w) = (geom.rows.input, geom.cols.input);
-    let (sh, sw) = (geom.rows.stride, geom.cols.stride);
-    let (dh, dw) = (geom.rows.dilation, geom.cols.dilation);
-    let (ph, pw) = (geom.rows.pad, geom.cols.pad);
-    assert_eq!(out.len(), c * kh * kw * oh * ow, "im2col buffer length mismatch");
-    let data = input.data();
-    for ci in 0..c {
-        for jy in 0..kh {
-            for jx in 0..kw {
-                let row = ci * kh * kw + jy * kw + jx;
-                let orow = &mut out[row * oh * ow..(row + 1) * oh * ow];
-                for oy in 0..oh {
-                    let y = oy * sh + jy * dh;
-                    let dst = &mut orow[oy * ow..(oy + 1) * ow];
-                    if y < ph || y >= ph + h {
-                        dst.fill(0.0);
-                        continue;
-                    }
-                    let irow = &data[ci * h * w + (y - ph) * w..ci * h * w + (y - ph + 1) * w];
-                    for (ox, slot) in dst.iter_mut().enumerate() {
-                        let x = ox * sw + jx * dw;
-                        *slot = if x < pw || x >= pw + w { 0.0 } else { irow[x - pw] };
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Allocating wrapper over [`im2col_dconv_compact_into`].
-pub fn im2col_dconv_compact(input: &Tensor, geom: &DconvGeometry) -> Tensor {
-    let c = input.shape()[0];
-    let (kh, kw) = (geom.rows.kernel, geom.cols.kernel);
-    let (oh, ow) = (geom.rows.output, geom.cols.output);
-    let mut out = vec![0.0; c * kh * kw * oh * ow];
-    im2col_dconv_compact_into(input, geom, &mut out);
-    Tensor::from_vec(&[c * kh * kw, oh * ow], out)
-}
-
-/// Zero-free D-CONV through the compact im2col + GEMM: the true-tap
-/// weights `[OC, IC·Kh·Kw]` multiply [`im2col_dconv_compact`]'s matrix,
-/// skipping every inserted zero of the dilated kernel while keeping the
-/// arithmetic on the same GEMM dispatch as the naive path — the software
-/// realisation of the ZFDR-style dilated plan.
-///
-/// # Panics
-///
-/// Panics on operand shape mismatches.
-pub fn dconv_zero_free(input: &Tensor, weights: &Tensor, geom: &DconvGeometry) -> Tensor {
-    let (oc, ic) = (weights.shape()[0], weights.shape()[1]);
-    let (kh, kw) = (geom.rows.kernel, geom.cols.kernel);
-    assert_eq!(weights.shape()[2], kh, "kernel row count mismatch");
-    assert_eq!(weights.shape()[3], kw, "kernel col count mismatch");
-    let cols = im2col_dconv_compact(input, geom);
-    let wmat = weights.reshaped(&[oc, ic * kh * kw]);
-    let flat = crate::tensor::gemm(&wmat, &cols);
-    flat.reshaped(&[oc, geom.rows.output, geom.cols.output])
-}
-
 /// Zero-free D-CONV reference: touches only the `Kh·Kw` true taps per
 /// window with a scalar gather. Each output element accumulates taps in
 /// ascending `(ci, jy, jx)` order from `0.0`, the same chain the
@@ -339,34 +263,6 @@ mod tests {
             let a = dconv_zero_insertion(&input, &weights, &geom);
             let b = dconv_direct(&input, &weights, &geom);
             assert_tensors_close(&a, &b, 1e-4);
-            let c = dconv_zero_free(&input, &weights, &geom);
-            assert_tensors_close(&a, &c, 1e-4);
-        }
-    }
-
-    #[test]
-    fn compact_im2col_has_the_true_tap_rows_of_the_dense_one() {
-        // Row (ci, jy, jx) of the compact matrix must equal row
-        // (ci, jy·Dh, jx·Dw) of the dense effective-extent matrix.
-        let geom = DconvGeometry::square(10, 3, 2, 3, 3).unwrap();
-        let input = det(&[2, 10, 10], 21);
-        let dense = im2col_dconv(&input, &geom);
-        let compact = im2col_dconv_compact(&input, &geom);
-        let (eh, ew) = (geom.rows.effective_kernel(), geom.cols.effective_kernel());
-        let positions = geom.rows.output * geom.cols.output;
-        assert_eq!(compact.shape(), &[2 * 3 * 3, positions]);
-        for ci in 0..2 {
-            for jy in 0..3 {
-                for jx in 0..3 {
-                    let crow = ci * 9 + jy * 3 + jx;
-                    let drow = ci * eh * ew + (jy * geom.rows.dilation) * ew + jx * geom.cols.dilation;
-                    assert_eq!(
-                        &compact.data()[crow * positions..(crow + 1) * positions],
-                        &dense.data()[drow * positions..(drow + 1) * positions],
-                        "tap ({ci},{jy},{jx})"
-                    );
-                }
-            }
         }
     }
 

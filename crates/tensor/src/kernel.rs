@@ -4,13 +4,14 @@
 //! This module is the dense-compute core of the workspace. Every product
 //! enters through [`gemm_buf`], [`gemm_nt_buf`] or [`mmv_buf`] (the
 //! `_into` variants and the allocating wrappers in [`crate::tensor`] are
-//! thin shells over them) and is routed by [`crate::dispatch`] to one of
-//! three strategies:
+//! thin shells over them). `mmv_buf` is one ascending dot product per
+//! row; the two GEMMs are routed by [`crate::dispatch`] to one of three
+//! strategies:
 //!
 //! * **Direct** — no packing: register tiles accumulate straight out of
 //!   the row-major right operand. This wins on the small `m = 16–64`
 //!   products the benchmark GANs issue, where packing the right operand
-//!   costs more than it saves. `mmv` (`n = 1`) always takes this path.
+//!   costs more than it saves.
 //! * **Packed** — the classic `jc → pc → ic → ir → jr` blocked driver:
 //!   columns in panels of `NC`, the reduction in panels of `KC` packed
 //!   into contiguous [`NR`]-wide strips, rows in blocks of `MC` and
@@ -58,7 +59,7 @@ const NC: usize = 1024;
 /// Accumulates `acc[i][j] += a[abase + i·lda + l] · b[bbase + l·ldb + j]`
 /// for `l` ascending over one reduction panel. `ldb` is the row stride of
 /// the right operand: [`NR`] for packed strips, the full matrix width `n`
-/// for the direct path, and 1 for the blocked `mmv` (`NRW = 1`).
+/// for the direct path.
 ///
 /// The loops are iterator-free with fixed trip counts over the register
 /// tile, which LLVM unrolls and autovectorizes at the build's baseline
@@ -69,8 +70,8 @@ const NC: usize = 1024;
 #[allow(clippy::needless_range_loop)] // fixed-width indexed loops vectorize as written
 #[allow(clippy::too_many_arguments)] // mirrors the BLIS microkernel signature
 #[inline(always)]
-fn microkernel_scalar<const NRW: usize>(
-    acc: &mut [[f32; NRW]; MR],
+fn microkernel_scalar(
+    acc: &mut [[f32; NR]; MR],
     mr: usize,
     a: &[f32],
     abase: usize,
@@ -81,11 +82,11 @@ fn microkernel_scalar<const NRW: usize>(
     kc: usize,
 ) {
     for l in 0..kc {
-        let bv = &b[bbase + l * ldb..bbase + l * ldb + NRW];
+        let bv = &b[bbase + l * ldb..bbase + l * ldb + NR];
         for i in 0..mr {
             let av = a[abase + i * lda + l];
             let row = &mut acc[i];
-            for j in 0..NRW {
+            for j in 0..NR {
                 row[j] += av * bv[j];
             }
         }
@@ -197,7 +198,7 @@ fn microkernel(
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = use_simd;
-    microkernel_scalar::<NR>(acc, mr, a, abase, lda, b, bbase, ldb, kc);
+    microkernel_scalar(acc, mr, a, abase, lda, b, bbase, ldb, kc);
 }
 
 /// Where packed strips gather their values from.
@@ -429,12 +430,9 @@ pub fn gemm_nt_buf(m: usize, k: usize, n: usize, a: &[f32], bt: &[f32], out: &mu
 
 /// Slice-level matrix-vector product: `out[rows] = mdata[rows, cols] · v`.
 ///
-/// With one output column, packing can never amortise, so shape-based
-/// selection always takes the direct path: one contiguous ascending dot
-/// product per row. (A pinned packed strategy still exercises the blocked
-/// `NRW = 1` driver — the bit-identity suite and the `mmv` bench entry use
-/// that to prove the two agree and the direct path wins.) Same conventions
-/// as [`gemm_buf`].
+/// One output column can never amortise a pack, so every row is one
+/// contiguous ascending dot product, whatever strategy is pinned. Same
+/// conventions as [`gemm_buf`].
 ///
 /// # Panics
 ///
@@ -448,45 +446,12 @@ pub fn mmv_buf(rows: usize, cols: usize, mdata: &[f32], v: &[f32], out: &mut [f3
         return;
     }
     let min_rows = (MIN_PARALLEL_FLOPS / cols).max(1);
-    match dispatch::select(OpKind::Mmv, rows, cols, 1) {
-        Strategy::Direct => {
-            parallel::for_each_chunk_mut(out, min_rows, |row0, chunk| {
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    let row = &mdata[(row0 + i) * cols..(row0 + i + 1) * cols];
-                    *slot = row.iter().zip(v).map(|(&a, &b)| a * b).sum();
-                }
-            });
+    parallel::for_each_chunk_mut(out, min_rows, |row0, chunk| {
+        for (i, slot) in chunk.iter_mut().enumerate() {
+            let row = &mdata[(row0 + i) * cols..(row0 + i + 1) * cols];
+            *slot = row.iter().zip(v).map(|(&a, &b)| a * b).sum();
         }
-        _ => {
-            parallel::for_each_unit_chunk_mut(out, 1, min_rows, |row0, orows| {
-                let mw = orows.len();
-                for pc in (0..cols).step_by(KC) {
-                    let kc = KC.min(cols - pc);
-                    for i0 in (0..mw).step_by(MR) {
-                        let mr = MR.min(mw - i0);
-                        let mut acc = [[0.0f32; 1]; MR];
-                        for (i, row) in acc.iter_mut().enumerate().take(mr) {
-                            row[0] = orows[i0 + i];
-                        }
-                        microkernel_scalar::<1>(
-                            &mut acc,
-                            mr,
-                            mdata,
-                            (row0 + i0) * cols + pc,
-                            cols,
-                            v,
-                            pc,
-                            1,
-                            kc,
-                        );
-                        for (i, row) in acc.iter().enumerate().take(mr) {
-                            orows[i0 + i] = row[0];
-                        }
-                    }
-                }
-            });
-        }
-    }
+    });
 }
 
 /// Shape-dispatched GEMM into a caller-owned buffer: `a` is `[m, k]`, `b`
@@ -654,22 +619,6 @@ mod tests {
                     assert_eq!(mmv(&a, &v).len(), m);
                 }
             });
-        }
-    }
-
-    #[test]
-    fn mmv_blocked_and_direct_agree_bitwise() {
-        // The satellite contract behind `mmv` always dispatching direct:
-        // the retired blocked path and the direct dot agree exactly, so
-        // the change is pure speed.
-        let m = det(&[37, 520]);
-        let v: Vec<f32> = (0..520).map(|i| (i as f32 * 0.37).sin()).collect();
-        let direct = with_strategy(ForcedStrategy::Direct, || mmv(&m, &v));
-        let blocked = with_strategy(ForcedStrategy::Packed, || mmv(&m, &v));
-        let auto = mmv(&m, &v);
-        for ((d, b), x) in direct.iter().zip(&blocked).zip(&auto) {
-            assert_eq!(d.to_bits(), b.to_bits());
-            assert_eq!(d.to_bits(), x.to_bits());
         }
     }
 }

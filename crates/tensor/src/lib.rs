@@ -6,11 +6,12 @@
 //! transposed convolution (T-CONV), and the weight-gradient convolution
 //! (W-CONV) — has a straightforward, obviously-correct implementation here,
 //! including the *zero-insertion* formulation of T-CONV/W-CONV that the paper
-//! analyses in Section III-A (Fig. 4–6). Two zero-free executions are
-//! validated against these kernels: the ZFDR engine in `lergan-core`, and
-//! [`zero_free::PhaseConv`], the phase-class GEMM lowering that runs every
-//! batched conv direction of the `lergan-gan` trainer (T-CONV, D-CONV and
-//! the strided-conv input gradient) on true values only.
+//! analyses in Section III-A (Fig. 4–6). One zero-free execution is
+//! validated against these kernels bit for bit: [`zero_free::PhaseConv`],
+//! the phase-class GEMM lowering that runs every batched conv direction of
+//! the `lergan-gan` trainer (T-CONV, D-CONV and the strided-conv input
+//! gradient) on true values only, and that the tests and benches of the
+//! other crates drive as the functional ZFDR.
 //!
 //! # Example
 //!

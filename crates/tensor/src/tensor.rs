@@ -314,11 +314,10 @@ pub(crate) const MIN_PARALLEL_FLOPS: usize = 32 * 1024;
 
 /// Matrix-multiply-vector: `m` is `[rows, cols]`, `v` has `cols` elements.
 ///
-/// This is the primitive the ReRAM CArray executes in one read cycle; the
-/// functional ZFDR execution path is built out of calls to it. Allocating
-/// wrapper over [`crate::kernel::mmv_into`]; every element accumulates
-/// along `cols` in ascending order, bit-identically for every thread
-/// count.
+/// This is the primitive the ReRAM CArray executes in one read cycle.
+/// Allocating wrapper over [`crate::kernel::mmv_into`]; every element
+/// accumulates along `cols` in ascending order, bit-identically for every
+/// thread count.
 ///
 /// # Panics
 ///
@@ -333,8 +332,8 @@ pub fn mmv(m: &Tensor, v: &[f32]) -> Vec<f32> {
 /// Packed matrix-matrix product: `a` is `[m, k]`, `b` is `[k, n]`,
 /// returning `[m, n]`.
 ///
-/// This is the batched-execution primitive behind the ZFDR
-/// one-GEMM-per-pattern-class path and the im2col convolution. Allocating
+/// This is the primitive behind the phase-class GEMMs of
+/// [`crate::zero_free::PhaseConv`] and the im2col convolution. Allocating
 /// wrapper over the cache-blocked [`crate::kernel::gemm_into`], which
 /// accumulates along `k` in ascending order exactly like [`mmv`] does, so
 /// for any column vector `b` the two agree bit-for-bit; row blocks are
@@ -368,7 +367,7 @@ pub fn gemm(a: &Tensor, b: &Tensor) -> Tensor {
 ///
 /// Every element accumulates over `l` ascending from `0.0` with the same
 /// chain as [`mmv`], so `gemm_nt(a, bt)` column `j` is bit-identical to
-/// `mmv(a, bt_row_j)` — the property the batched ZFDR execution relies on.
+/// `mmv(a, bt_row_j)`.
 /// Allocating wrapper over [`crate::kernel::gemm_nt_into`]. Prefer this
 /// over [`gemm`] when the right operand is naturally gathered
 /// row-per-column (few columns, long inner dimension).

@@ -45,8 +45,8 @@
 //! kernel's SIMD lanes run across positions, whatever the channel counts.
 //! A single output map makes that an `m = 1` product (the generator's
 //! last T-CONV, the input gradient of a one-channel first conv). Putting
-//! `batch × positions` on the rows instead — the transposed gather of
-//! `lergan-core`'s ZFDR engine — measured 2.8x slower at both of those
+//! `batch × positions` on the rows instead, with a transposed
+//! position-major gather, measured 2.8x slower at both of those
 //! `train_dcgan32` shapes (batch 8, 2 threads on a 2-core x86-64 host with
 //! AVX): with one map each gathered value feeds a single
 //! multiply, so the gather dominates, and a position-major gather reads
@@ -431,6 +431,23 @@ impl PhaseConv {
     /// Length of the weight tensor the plan reads (and of one `∇W`).
     pub fn weight_len(&self) -> usize {
         self.channels * self.maps * self.kh * self.kw
+    }
+
+    /// Products of two true values per sample: for every class pair and
+    /// tap pair, the class positions whose input lies in bounds, times
+    /// channels and maps. The GEMMs run `maps · cols_len(1)` products; the
+    /// rest are border taps that read padding.
+    pub fn true_products(&self) -> usize {
+        let span = |taps: &[Tap]| taps.iter().map(|t| t.hi - t.lo).sum::<usize>();
+        let per_pair: usize = self
+            .pairs
+            .iter()
+            .map(|pair| {
+                let (r, c) = self.classes(pair);
+                span(&r.taps) * span(&c.taps)
+            })
+            .sum();
+        per_pair * self.channels * self.maps
     }
 
     /// Length of the gathered-column buffer for `batch` samples.

@@ -6,13 +6,13 @@
 //! cargo run --release --example precision_and_variation
 //! ```
 
-use lergan::core::zfdr::exec::execute_tconv;
 use lergan::reram::bitslice::{slice_weight, sliced_dot, unslice_weight};
 use lergan::reram::variation::VariationModel;
 use lergan::reram::{EnergyModel, ReramConfig};
 use lergan::tensor::conv::tconv_forward_zero_insert;
 use lergan::tensor::quant::FixedPoint;
-use lergan::tensor::{TconvGeometry, Tensor};
+use lergan::tensor::zero_free::PhaseConv;
+use lergan::tensor::{TconvGeometry, Tensor, Workspace};
 
 fn main() {
     let reram = ReramConfig::default();
@@ -66,11 +66,30 @@ fn main() {
     let input = Tensor::from_fn(&[4, 8, 8], |_| rnd());
     let weights = Tensor::from_fn(&[4, 4, 4, 4], |_| rnd());
     let exact = tconv_forward_zero_insert(&input, &weights, &geom);
-    let (zfdr_q, _) = execute_tconv(&q.round_trip(&input), &q.round_trip(&weights), &geom);
+    let (input_q, weights_q) = (q.round_trip(&input), q.round_trip(&weights));
+    let lowering = PhaseConv::tconv(4, 4, &geom);
+    let mut cols = vec![0.0; lowering.cols_len(1)];
+    let mut zfdr_q = vec![0.0; 4 * geom.output * geom.output];
+    let mut ws = Workspace::new();
+    lowering.forward(
+        input_q.data(),
+        1,
+        weights_q.data(),
+        &mut cols,
+        &mut zfdr_q,
+        &mut ws,
+    );
+    // The zero-free data path adds no error of its own: on the quantised
+    // operands it is bit-identical to zero insertion.
+    let inserted_q = tconv_forward_zero_insert(&input_q, &weights_q, &geom);
+    assert!(zfdr_q
+        .iter()
+        .zip(inserted_q.data())
+        .all(|(a, b)| a.to_bits() == b.to_bits()));
     let max_err = exact
         .data()
         .iter()
-        .zip(zfdr_q.data().iter())
+        .zip(&zfdr_q)
         .map(|(a, b)| (a - b).abs())
         .fold(0.0f32, f32::max);
     println!("  max output deviation after quantising both operands: {max_err:.2e}");

@@ -9,11 +9,42 @@
 
 use lergan::core::replica::ReplicaPlan;
 use lergan::core::zfdr::closed_form;
-use lergan::core::zfdr::exec::execute_tconv;
 use lergan::core::zfdr::plan::ClassKind;
 use lergan::core::ZfdrPlan;
 use lergan::tensor::conv::tconv_forward_zero_insert;
-use lergan::tensor::{assert_tensors_close, TconvGeometry, Tensor};
+use lergan::tensor::zero_free::PhaseConv;
+use lergan::tensor::{TconvGeometry, Tensor, Workspace};
+
+/// T-CONV of one sample through the zero-free phase-class lowering,
+/// asserted bit-identical to the zero-insertion reference. Returns the
+/// lowering's count of true-value products.
+fn zero_free_matches_zero_insertion(
+    input: &Tensor,
+    weights: &Tensor,
+    geom: &TconvGeometry,
+) -> usize {
+    let (oc, ic) = (weights.shape()[0], weights.shape()[1]);
+    let lowering = PhaseConv::tconv(ic, oc, geom);
+    let mut cols = vec![0.0; lowering.cols_len(1)];
+    let mut out = vec![0.0; oc * geom.output * geom.output];
+    let mut ws = Workspace::new();
+    lowering.forward(
+        input.data(),
+        1,
+        weights.data(),
+        &mut cols,
+        &mut out,
+        &mut ws,
+    );
+    let naive = tconv_forward_zero_insert(input, weights, geom);
+    assert!(
+        out.iter()
+            .zip(naive.data())
+            .all(|(a, b)| a.to_bits() == b.to_bits()),
+        "zero-free T-CONV diverged from zero insertion"
+    );
+    lowering.true_products()
+}
 
 fn main() {
     // CONV1 of the DCGAN generator: a 4x4x1024 input transposed-convolved
@@ -89,13 +120,16 @@ fn main() {
     };
     let input = Tensor::from_fn(&[16, 4, 4], |_| rnd());
     let weights = Tensor::from_fn(&[8, 16, 5, 5], |_| rnd());
-    let (zero_free, stats) = execute_tconv(&input, &weights, &geom);
-    let naive = tconv_forward_zero_insert(&input, &weights, &geom);
-    assert_tensors_close(&zero_free, &naive, 1e-4);
+    let products = zero_free_matches_zero_insertion(&input, &weights, &geom);
+    let mut planned = 0;
+    plan.for_each_tuple(2, |reuse, volume, _| planned += reuse * volume);
+    assert_eq!(products as u128, planned * 16 * 8);
     println!(
-        "zero-free execution == naive zero-insertion (64 MMVs over {} reshaped \
-         matrices, {} multiplications, all on useful values)",
-        stats.reshaped_matrices, stats.multiplications
+        "zero-free execution == naive zero-insertion, bit for bit ({} phase \
+         classes for the plan's {} reshaped matrices, {products} \
+         multiplications, all on useful values)",
+        geom.converse_stride * geom.converse_stride,
+        plan.distinct_classes(2)
     );
 
     println!("\n--- future-GAN stride 3 (Sec. IV-A's generality claim) ---");
@@ -103,9 +137,7 @@ fn main() {
     let p3 = ZfdrPlan::for_tconv(&g3);
     let input = Tensor::from_fn(&[4, 5, 5], |_| rnd());
     let weights = Tensor::from_fn(&[2, 4, 5, 5], |_| rnd());
-    let (zf, _) = execute_tconv(&input, &weights, &g3);
-    let nv = tconv_forward_zero_insert(&input, &weights, &g3);
-    assert_tensors_close(&zf, &nv, 1e-4);
+    zero_free_matches_zero_insertion(&input, &weights, &g3);
     println!(
         "stride-3 T-CONV: {} classes (inside {} = S'^2), equivalence holds",
         p3.distinct_classes(2),
